@@ -31,7 +31,6 @@ from .frame import (
 from .selection import LambdaGrid, CVReport, cross_validate, default_grid
 from .simulate import SimDesign, SimInstance, error_metrics, simulate_instance
 from .subsolvers import (
-    SvtConfig,
     WeightedLassoProblem,
     WeightedNuclearProblem,
     nuclear_norm,
@@ -60,7 +59,6 @@ __all__ = [
     "SimDesign",
     "SimInstance",
     "SolverConfig",
-    "SvtConfig",
     "WeightedLassoProblem",
     "WeightedNuclearProblem",
     "build_dictionary",

@@ -18,7 +18,7 @@ objective trace nonincreasing.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .exceptions import (
 )
 from .frame import ColumnType, MixedDataFrame
 from .subsolvers import (
-    SvtConfig,
     WeightedLassoProblem,
     WeightedNuclearProblem,
     nuclear_norm,
@@ -47,14 +46,7 @@ _ZERO_DIRECTION_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalties, line-search constants, stopping rule, subsolver settings.
-
-    ``l_decrease_form`` selects the bookkeeping of the nuclear-norm term in
-    the L-step's predicted decrease: "symmetric" subtracts the current
-    iterate's nuclear norm (mirrors the alpha step and keeps the descent
-    guarantee); "direction" subtracts the direction's nuclear norm instead,
-    kept selectable for A/B probing of line-search behavior.
-    """
+    """Penalties, line-search constants, stopping rule, subsolver settings."""
 
     lam1: float
     lam2: float
@@ -70,13 +62,11 @@ class SolverConfig:
     nuclear_tol: float = 1e-6
     nuclear_max_iter: int = 100
     nuclear_strict: bool = False
-    l_decrease_form: str = "symmetric"
     update_alpha: bool = True
     update_l: bool = True
     clip_box: float | None = None
     stall_floor: float = 1e-12
     curvature_floor: float = 1e-10
-    svt: SvtConfig = field(default_factory=SvtConfig)
 
     def __post_init__(self):
         if self.lam1 < 0 or self.lam2 < 0:
@@ -93,8 +83,6 @@ class SolverConfig:
             raise InvalidInputError("theta must be in [0, 1)")
         if not self.eps_f > 0 or self.max_outer < 1:
             raise InvalidInputError("eps_f must be > 0 and max_outer >= 1")
-        if self.l_decrease_form not in ("symmetric", "direction"):
-            raise InvalidInputError("l_decrease_form must be symmetric|direction")
         if self.clip_box is not None and not self.clip_box > 0:
             raise InvalidInputError("clip_box must be > 0 when set")
 
@@ -117,6 +105,7 @@ class StepResult:
     direction: np.ndarray
     subproblem_solution: np.ndarray
     nuclear_after: float | None = None
+    nuclear_capped: bool = False
 
 
 @dataclass
@@ -132,6 +121,7 @@ class ModelFit:
     n_iter: int
     config: SolverConfig
     wall_time: float
+    nuclear_cap_hits: int = 0
 
     def rank(self, rel_tol: float = 1e-7) -> int:
         svals = np.linalg.svd(self.l_hat, compute_uv=False)
@@ -153,6 +143,7 @@ class ModelFit:
             "rank": self.rank(),
             "alpha_nonzeros": self.alpha_nonzeros(),
             "wall_time_s": float(self.wall_time),
+            "nuclear_cap_hits": int(self.nuclear_cap_hits),
         }
 
 
@@ -269,62 +260,57 @@ def l_step(
     blended = (
         weights * (working + state.low_rank) + config.nu * state.low_rank
     ) / total_weights
-    prob = WeightedNuclearProblem(total_weights, blended, config.lam1, svt=config.svt)
-    solution = solve_weighted_nuclear(
+    if nuclear_current is None:
+        nuclear_current = nuclear_norm(state.low_rank)
+    prob = WeightedNuclearProblem(total_weights, blended, config.lam1)
+    solve = solve_weighted_nuclear(
         prob,
         config.nuclear_tol,
         config.nuclear_max_iter,
         init=state.low_rank,
+        init_nuclear=nuclear_current,
         on_max_iter="raise" if config.nuclear_strict else "return",
     )
+    solution, capped = solve.matrix, not solve.converged
     direction = solution - state.low_rank
     dir_norm = float(np.linalg.norm(direction))
-    if nuclear_current is None:
-        nuclear_current = nuclear_norm(state.low_rank)
     if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(state.low_rank)):
         return StepResult(
             state, 0.0, 0.0, np.zeros_like(direction), solution,
-            nuclear_after=nuclear_current,
+            nuclear_after=nuclear_current, nuclear_capped=capped,
         )
 
-    if config.l_decrease_form == "symmetric":
-        pen_shift = config.lam1 * (nuclear_norm(solution) - nuclear_current)
-    else:
-        pen_shift = config.lam1 * (nuclear_norm(solution) - nuclear_norm(direction))
     model_decrease = (
         -2.0 * float(np.sum(weights * working * direction))
         + config.theta * float(np.sum(weights * direction * direction))
         + config.nu * dir_norm**2
-        + pen_shift
+        + config.lam1 * (solve.nuclear - nuclear_current)
     )
-    if config.l_decrease_form == "symmetric" and model_decrease >= 0.0:
+    if model_decrease >= 0.0:
         raise InternalConsistencyError(
             f"L-step predicted decrease {model_decrease:.3e} is not negative "
             "for a nonzero direction"
         )
 
+    def nuclear_at(t):
+        # the full step lands on the EM solution, whose norm the EM returned
+        if t == 1.0:
+            return solve.nuclear
+        return nuclear_norm(state.low_rank + t * direction)
+
     base = state.data_fit + config.lam1 * nuclear_current
-    trial_penalties = {}
-
-    def penalty_trial(t):
-        val = config.lam1 * nuclear_norm(state.low_rank + t * direction)
-        trial_penalties[t] = val
-        return val
-
     tau, f_new, pen_new = _backtrack(
-        frame, links, state, direction, penalty_trial, base, model_decrease, config
+        frame, links, state, direction, lambda t: config.lam1 * nuclear_at(t),
+        base, model_decrease, config,
     )
     new_state = FitState(
         state.alpha, state.low_rank + tau * direction,
         state.x + tau * direction, f_new,
     )
-    nuclear_after = (
-        pen_new / config.lam1 if config.lam1 > 0
-        else nuclear_norm(new_state.low_rank)
-    )
+    nuclear_after = pen_new / config.lam1 if config.lam1 > 0 else nuclear_at(tau)
     return StepResult(
         new_state, tau, model_decrease, direction, solution,
-        nuclear_after=nuclear_after,
+        nuclear_after=nuclear_after, nuclear_capped=capped,
     )
 
 
@@ -346,7 +332,7 @@ def fit(
     else:
         alpha0, l0 = (np.array(v, dtype=float) for v in init)
     state = make_state(frame, links, dictionary, alpha0, l0)
-    nuc = nuclear_norm(state.low_rank)
+    nuc = 0.0 if init is None else nuclear_norm(state.low_rank)
     current = (
         state.data_fit + config.lam1 * nuc
         + config.lam2 * float(np.abs(state.alpha).sum())
@@ -354,7 +340,7 @@ def fit(
     trace = [current]
     steps = []
     converged = False
-    n_iter = 0
+    n_iter = cap_hits = 0
     try:
         for _ in range(config.max_outer):
             # rebuild the cached parameter matrix to stop incremental drift
@@ -371,6 +357,7 @@ def fit(
                 )
                 state, tau_l = res.state, res.tau
                 nuc = res.nuclear_after
+                cap_hits += res.nuclear_capped
             n_iter += 1
             new_val = (
                 state.data_fit + config.lam1 * nuc
@@ -403,6 +390,7 @@ def fit(
         n_iter=n_iter,
         config=config,
         wall_time=time.perf_counter() - start,
+        nuclear_cap_hits=cap_hits,
     )
 
 

@@ -25,17 +25,6 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 
-def _limit_threads(n: int | None) -> None:
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover - environment dependent
-        click.echo("warning: threadpoolctl unavailable, --threads ignored", err=True)
-
-
 def _load_inputs(data_path, schema_path, dict_path):
     schema = mdf.read_schema(schema_path) if schema_path else None
     data = mdf.read_csv(data_path, schema=schema)
@@ -69,10 +58,8 @@ def _write_matrix_csv(path, matrix, header=None):
 
 
 @click.group(name="splr")
-@click.option("--threads", type=int, default=None, help="Cap BLAS threads.")
-def cli(threads):
+def cli():
     """Sparse main effects + low-rank interactions for mixed data frames."""
-    _limit_threads(threads)
 
 
 @cli.command("fit")
@@ -97,7 +84,8 @@ def cmd_fit(data_path, schema_path, dict_path, lambda1, lambda2, config_path, ou
     click.echo(
         f"fit: {'converged' if result.converged else 'iteration cap'} after "
         f"{result.n_iter} iterations, rank {result.rank()}, "
-        f"{result.alpha_nonzeros()} active coefficients"
+        f"{result.alpha_nonzeros()} active coefficients, "
+        f"{result.nuclear_cap_hits} capped nuclear solves"
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

@@ -17,11 +17,16 @@ is solved by EM-style iterations that treat the weights, rescaled into (0,1],
 as observation frequencies: blend the target into the current iterate and
 soft-threshold the singular values.  Under uniform weights a single blend
 step is the exact closed-form solution.
+
+Singular value thresholding takes one eigendecomposition of the short-side
+Gram matrix instead of an SVD, and a LAPACK SVD where the threshold is too
+small for that to be accurate (see ``_svt_with_diagnostics``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -35,52 +40,11 @@ from .exceptions import (
 )
 
 
-@dataclass(frozen=True)
-class SvtConfig:
-    """SVD backend choice for singular value thresholding.
-
-    Full LAPACK SVD below ``full_max_dim``; above it, a seeded randomized
-    range finder with ``oversample`` extra directions and ``n_power_iter``
-    power iterations, truncated at ``rank_cap`` (defaults to the full minimum
-    dimension, i.e. exact up to numerics).
-    """
-
-    full_max_dim: int = 200
-    rank_cap: int | None = None
-    oversample: int = 10
-    n_power_iter: int = 2
-    seed: int = 0
-
-
-_DEFAULT_SVT = SvtConfig()
-
-
 def _full_svd(a):
     try:
         return np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
         return scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
-
-
-def _randomized_svd(a, rank, oversample, n_power_iter, seed):
-    m, n = a.shape
-    p = min(min(m, n), rank + oversample)
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(a @ rng.standard_normal((n, p)))[0]
-    for _ in range(n_power_iter):
-        q = np.linalg.qr(a.T @ q)[0]
-        q = np.linalg.qr(a @ q)[0]
-    u_small, s, vt = _full_svd(q.T @ a)
-    u = q @ u_small
-    return u[:, :rank], s[:rank], vt[:rank]
-
-
-def _svd(a, svt: SvtConfig):
-    m, n = a.shape
-    cap = min(m, n) if svt.rank_cap is None else min(svt.rank_cap, m, n)
-    if min(m, n) <= svt.full_max_dim or cap + svt.oversample >= min(m, n):
-        return _full_svd(a)
-    return _randomized_svd(a, cap, svt.oversample, svt.n_power_iter, svt.seed)
 
 
 def nuclear_norm(a) -> float:
@@ -91,22 +55,63 @@ def nuclear_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def _svt_with_diagnostics(a, lam, svt):
-    u, s, vt = _svd(a, svt)
-    shrunk = np.maximum(s - lam, 0.0)
-    keep = shrunk > 0
-    out = (u[:, keep] * shrunk[keep]) @ vt[keep]
-    return out, float(shrunk.sum()), int(keep.sum())
+# largest error of the Gram SVT, relative to the input's spectral norm
+_GRAM_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
-def soft_threshold_singular_values(a, lam: float, svt: SvtConfig | None = None):
+def _svt_with_diagnostics(a, lam):
+    """Singular value thresholding from the short-side Gram matrix.
+
+    With B the input or its transpose, whichever has n = min(m1, m2) columns,
+    SVT(B) = B h(B^T B) for h(x) = max(0, 1 - lam / sqrt(x)): one n x n
+    eigendecomposition V diag(x) V^T of G = B^T B gives the output
+    (B V_k) diag(1 - lam / sqrt(x_k)) V_k^T over the eigenpairs with
+    x_k > lam^2, and the shrink sum sum_k (sqrt(x_k) - lam).  That is
+    m n^2 + O(n^3) flops against about 14 m n^2 + 8 n^3 for a thin SVD.
+
+    Accuracy: forming G and decomposing it err by some E with ||E||_F about
+    eps sqrt(n) sigma_1^2.  To first order the output moves by
+    B Dh(G)[E], whose entries in the singular bases are
+    sigma_i h[sigma_i^2, sigma_j^2] E_ij, and sigma_i |h[x_i, x_j]| <= 1 / lam
+    for every pair (h[., .] the divided difference of h), so the output
+    moves by about eps sqrt(n) sigma_1^2 / lam: a relative error of
+    eps sqrt(n) sigma_1 / lam.  Where that exceeds ``_GRAM_RTOL`` -- lam below
+    eps sqrt(n) sigma_1 / 1e-12, about sigma_1 / 800 at n = 30, the zero
+    threshold included -- a LAPACK SVD does the thresholding instead.  (The
+    Lipschitz constant of h alone, 1 / (2 lam^2), gives the pessimistic
+    eps sigma_1 (sigma_1 / lam)^2, which ignores the factor B.)  Returns
+    (thresholded matrix, shrink sum = its nuclear norm, kept rank).
+    """
+    tall = a.shape[0] >= a.shape[1]
+    gram = a.T @ a if tall else a @ a.T
+    # divide and conquer: on 30 x 30 study matrices, 3x faster than MRRR
+    # restricted to the eigenvalues above lam^2
+    evals, evecs = scipy.linalg.eigh(
+        gram, driver="evd", overwrite_a=True, check_finite=False
+    )
+    if evals.size and lam * _GRAM_RTOL < _EPS * np.sqrt(len(gram) * evals[-1]):
+        u, s, vt = _full_svd(a)
+        shrunk = np.maximum(s - lam, 0.0)
+        keep = shrunk > 0
+        out = (u[:, keep] * shrunk[keep]) @ vt[keep]
+        return out, float(shrunk.sum()), int(keep.sum())
+    # eigenvalues ascend, so the kept ones are a suffix
+    first = int(np.searchsorted(evals, lam * lam, side="right"))
+    roots, v = np.sqrt(evals[first:]), evecs[:, first:]
+    gain = 1.0 - lam / roots
+    out = ((a @ v) * gain) @ v.T if tall else (v * gain) @ (v.T @ a)
+    return out, float(np.sum(roots - lam)), len(roots)
+
+
+def soft_threshold_singular_values(a, lam: float):
     """Proximal map of the nuclear norm: shrink singular values by ``lam``."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise InvalidInputError("cannot take an SVD of non-finite input")
     if lam < 0:
         raise InvalidInputError("threshold must be >= 0")
-    out, _, _ = _svt_with_diagnostics(a, lam, svt or _DEFAULT_SVT)
+    out, _, _ = _svt_with_diagnostics(a, lam)
     return out
 
 
@@ -176,8 +181,10 @@ def solve_weighted_lasso(
 ) -> np.ndarray:
     """Cyclic coordinate descent with active-set passes after the first sweep.
 
-    Returns the minimizer to KKT residual <= tol; raises ConvergenceError
-    (carrying the final residual) if ``max_iter`` sweeps are exhausted.
+    Returns the minimizer to KKT residual <= tol * max(1, ||2 A^T (W o Z)||_inf),
+    the data term's gradient scale at zero (its rounding sets the floor the
+    residual can reach); raises ConvergenceError (carrying the final
+    residual) if ``max_iter`` sweeps are exhausted.
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
@@ -187,6 +194,8 @@ def solve_weighted_lasso(
     wv = w_gather * vals
     quad = _segment_dots(wv * vals, indptr) + prob.ridge  # strictly positive
     nu, lam, anchor = prob.ridge, prob.penalty, prob.anchor
+    grad_scale = 2.0 * np.abs(_segment_dots(wv * prob.targets[rows, cols], indptr))
+    kkt_tol = tol * max(1.0, float(grad_scale.max(initial=0.0)))
 
     alpha = prob.anchor.astype(float).copy()
     resid = prob.targets - prob.dictionary.apply(alpha)
@@ -217,7 +226,7 @@ def solve_weighted_lasso(
             )
         obj = new_obj
         kkt = weighted_lasso_kkt_residual(prob, alpha)
-        if kkt <= tol:
+        if kkt <= kkt_tol:
             return alpha
         active = np.flatnonzero(alpha)
         while active.size and sweeps < max_iter:
@@ -227,7 +236,7 @@ def solve_weighted_lasso(
             if np.max(np.abs(alpha[active] - before)) <= 0.1 * tol:
                 break
     raise ConvergenceError(
-        f"weighted lasso did not reach KKT residual {tol:g} in {max_iter} sweeps "
+        f"weighted lasso did not reach KKT residual {kkt_tol:g} in {max_iter} sweeps "
         f"(final residual {kkt:.3e})",
         residual=kkt,
     )
@@ -238,7 +247,6 @@ class WeightedNuclearProblem:
     weights: np.ndarray
     targets: np.ndarray
     penalty: float
-    svt: SvtConfig = field(default_factory=SvtConfig)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -251,9 +259,22 @@ class WeightedNuclearProblem:
             raise InvalidInputError("penalty must be >= 0")
 
 
-def weighted_nuclear_objective(prob: WeightedNuclearProblem, mat) -> float:
+def weighted_nuclear_objective(prob: WeightedNuclearProblem, mat, nuc=None) -> float:
+    """Objective at ``mat``; ``nuc``, when known, stands for its nuclear norm."""
     diff = prob.targets - mat
-    return float(np.sum(prob.weights * diff * diff) + prob.penalty * nuclear_norm(mat))
+    if nuc is None:
+        nuc = nuclear_norm(mat)
+    return float(np.sum(prob.weights * diff * diff) + prob.penalty * nuc)
+
+
+class NuclearSolve(NamedTuple):
+    """EM result: the iterate, its nuclear norm (the last shrink sum), the
+    iterations run, and whether the stopping rule was met before the cap."""
+
+    matrix: np.ndarray
+    nuclear: float
+    n_iter: int
+    converged: bool
 
 
 def solve_weighted_nuclear(
@@ -261,8 +282,9 @@ def solve_weighted_nuclear(
     tol: float = 1e-6,
     max_iter: int = 100,
     init: np.ndarray | None = None,
+    init_nuclear: float | None = None,
     on_max_iter: str = "raise",
-) -> np.ndarray:
+) -> NuclearSolve:
     """EM soft-impute iterations for the weighted nuclear-norm problem.
 
     Weights are rescaled internally into (0,1] (the penalty threshold is
@@ -270,6 +292,8 @@ def solve_weighted_nuclear(
     when the relative Frobenius change of the iterate drops to ``tol``.  With
     ``on_max_iter="return"`` the current iterate is returned at the cap
     instead of raising; descent up to that point is still guaranteed.
+    ``init_nuclear``, when given, is taken as the nuclear norm of ``init``
+    instead of recomputing it.
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
@@ -278,19 +302,20 @@ def solve_weighted_nuclear(
     w_max = float(prob.weights.max())
     omega = prob.weights / w_max
     threshold = prob.penalty / (2.0 * w_max)
-    current = (
-        np.zeros_like(prob.targets) if init is None else np.array(init, dtype=float)
-    )
-    if current.shape != prob.targets.shape:
-        raise ShapeMismatchError("init must match the target shape")
+    if init is None:
+        current, nuc = np.zeros_like(prob.targets), 0.0
+    else:
+        current = np.array(init, dtype=float)
+        if current.shape != prob.targets.shape:
+            raise ShapeMismatchError("init must match the target shape")
+        nuc = nuclear_norm(current) if init_nuclear is None else float(init_nuclear)
 
-    obj = weighted_nuclear_objective(prob, current)
+    obj = weighted_nuclear_objective(prob, current, nuc)
     rel_change = np.inf
-    for _ in range(max_iter):
+    for n_iter in range(1, max_iter + 1):
         blended = omega * prob.targets + (1.0 - omega) * current
-        new, nuc, _ = _svt_with_diagnostics(blended, threshold, prob.svt)
-        diff = prob.targets - new
-        new_obj = float(np.sum(prob.weights * diff * diff) + prob.penalty * nuc)
+        new, new_nuc, _ = _svt_with_diagnostics(blended, threshold)
+        new_obj = weighted_nuclear_objective(prob, new, new_nuc)
         if new_obj > obj + 1e-9 * max(1.0, abs(obj)):
             raise InternalConsistencyError(
                 f"EM step increased the objective: {obj} -> {new_obj}"
@@ -298,12 +323,11 @@ def solve_weighted_nuclear(
         rel_change = float(
             np.linalg.norm(new - current) / max(1.0, np.linalg.norm(new))
         )
-        current = new
-        obj = new_obj
+        current, nuc, obj = new, new_nuc, new_obj
         if rel_change <= tol:
-            return current
+            return NuclearSolve(current, nuc, n_iter, True)
     if on_max_iter == "return":
-        return current
+        return NuclearSolve(current, nuc, max_iter, False)
     raise ConvergenceError(
         f"weighted nuclear solver did not converge in {max_iter} iterations "
         f"(last relative change {rel_change:.3e})",

@@ -222,7 +222,7 @@ def test_criterion_4_subproblem_oracles():
         em = solve_weighted_nuclear(
             WeightedNuclearProblem(np.full((6, 4), c), z, penalty=lam),
             tol=1e-12, max_iter=10,
-        )
+        ).matrix
         closed = soft_threshold_singular_values(z, lam / (2 * c))
         em_worst = max(em_worst, float(np.abs(em - closed).max()))
     ok_b = em_worst <= 1e-10

@@ -70,6 +70,20 @@ class TestFitCommand:
         assert code == EXIT_NOT_CONVERGED
         assert (out / "report.json").exists()
 
+    def test_capped_nuclear_solves_reported(self, workspace, capsys):
+        tmp, data, schema, dict_path = workspace
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"nuclear_max_iter": 1}))
+        out = tmp / "em_capped"
+        main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
+            "--config", str(cfg), "--out", str(out),
+        ])
+        hits = json.loads((out / "report.json").read_text())["nuclear_cap_hits"]
+        assert hits > 0
+        assert f"{hits} capped nuclear solves" in capsys.readouterr().out
+
     def test_unknown_config_key_exits_one(self, workspace):
         tmp, data, schema, dict_path = workspace
         cfg = tmp / "cfg.json"

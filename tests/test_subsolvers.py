@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svd as scipy_svd
 
+from splr import subsolvers
 from splr.dictionary import CorruptionsDictionary, CustomDictionary
 from splr.exceptions import ConvergenceError, InvalidInputError
 from splr.subsolvers import (
-    SvtConfig,
     WeightedLassoProblem,
     WeightedNuclearProblem,
+    nuclear_norm,
     soft_threshold_singular_values,
     solve_weighted_lasso,
     solve_weighted_nuclear,
@@ -196,18 +197,68 @@ class TestSvt:
         with pytest.raises(InvalidInputError):
             soft_threshold_singular_values(np.array([[np.inf]]), 1.0)
 
-    def test_randomized_backend_matches_full_svd(self, rng):
-        """With a rank cap above the true rank, the seeded randomized path
-        reproduces the exact shrinkage on a low-rank-plus-threshold input."""
-        left = rng.standard_normal((300, 3))
-        right = rng.standard_normal((250, 3))
-        a = left @ right.T
-        lam = 1.0
-        exact = soft_threshold_singular_values(a, lam)
-        randomized = soft_threshold_singular_values(
-            a, lam, svt=SvtConfig(full_max_dim=10, rank_cap=8, seed=1)
+    @pytest.mark.parametrize(
+        "shape, spectrum, threshold, fallback",
+        [
+            ((40, 12), "normal", ("between", 3), False),
+            ((12, 40), "normal", ("between", 3), False),
+            ((20, 20), "normal", ("between", 9), False),
+            ((30, 20), [5.0, 4.0, 3.0, 2.0, 1.0], ("value", 1.5), False),
+            ((10, 6), "zero", ("value", 1.0), False),
+            ((10, 6), "zero", ("value", 0.0), False),
+            ((40, 12), "normal", ("value", 0.0), True),
+            ((40, 12), "normal", ("top", 1.5), False),
+            ((25, 15), [3.0 + 2e-9, 3.0 + 1e-9, 3.0, 1.0, 0.5], ("value", 2.0), False),
+            ((40, 12), "normal", ("top", 1e-5), True),
+            ((300, 250), "rank3", ("value", 2.0), False),
+            ((300, 250), "rank3", ("value", 0.01), True),
+        ],
+        ids=[
+            "tall", "wide", "square", "rank-deficient", "zero", "zero-at-zero",
+            "zero-threshold", "above-top", "near-equal", "tiny-threshold",
+            "low-rank-300x250", "low-rank-300x250-tiny",
+        ],
+    )
+    def test_matches_lapack_svt(
+        self, rng, monkeypatch, shape, spectrum, threshold, fallback
+    ):
+        """The Gram SVT (or its LAPACK fallback) equals a LAPACK SVT to 1e-12
+        relative, shrink sum and rank included; the fallback runs exactly
+        where the threshold is too small a fraction of sigma_1."""
+        m1, m2 = shape
+        if spectrum == "normal":
+            a = rng.standard_normal(shape)
+        elif spectrum == "zero":
+            a = np.zeros(shape)
+        elif spectrum == "rank3":
+            a = rng.standard_normal((m1, 3)) @ rng.standard_normal((3, m2))
+        else:
+            q1 = np.linalg.qr(rng.standard_normal((m1, len(spectrum))))[0]
+            q2 = np.linalg.qr(rng.standard_normal((m2, len(spectrum))))[0]
+            a = (q1 * spectrum) @ q2.T
+        u, svals, vt = scipy_svd(a, full_matrices=False, lapack_driver="gesvd")
+        kind, value = threshold
+        if kind == "between":
+            lam = 0.5 * (svals[value] + svals[value + 1])
+        elif kind == "top":
+            lam = value * svals[0]
+        else:
+            lam = value
+        shrunk = np.maximum(svals - lam, 0.0)
+        expected = (u * shrunk) @ vt
+
+        lapack_calls = []
+        full_svd = subsolvers._full_svd
+        monkeypatch.setattr(
+            subsolvers, "_full_svd", lambda x: lapack_calls.append(1) or full_svd(x)
         )
-        np.testing.assert_allclose(randomized, exact, atol=1e-8)
+        out, shrink_sum, rank = subsolvers._svt_with_diagnostics(a, lam)
+        scale = svals[0]
+        assert np.abs(out - expected).max() <= 1e-12 * scale
+        assert abs(shrink_sum - shrunk.sum()) <= 1e-12 * max(scale, shrunk.sum())
+        assert rank == int(np.sum(shrunk > 0))
+        assert bool(lapack_calls) == fallback
+        np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
 
     @given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -228,7 +279,7 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         c = 1.7
         prob = WeightedNuclearProblem(np.full(shape, c), z, penalty=0.9)
-        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=10)
+        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=10).matrix
         expected = soft_threshold_singular_values(z, 0.9 / (2 * c))
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
@@ -237,7 +288,7 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         w = rng.uniform(0.5, 2.0, shape)
         prob = WeightedNuclearProblem(w, z, penalty=0.0)
-        out = solve_weighted_nuclear(prob, tol=1e-10, max_iter=500)
+        out = solve_weighted_nuclear(prob, tol=1e-10, max_iter=500).matrix
         np.testing.assert_allclose(out, z, atol=1e-6)
 
     def test_subgradient_descent_oracle(self):
@@ -248,7 +299,7 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         lam = 0.8
         prob = WeightedNuclearProblem(w, z, penalty=lam)
-        em = solve_weighted_nuclear(prob, tol=1e-13, max_iter=500)
+        em = solve_weighted_nuclear(prob, tol=1e-13, max_iter=500).matrix
         em_obj = weighted_nuclear_objective(prob, em)
 
         mu = 2.0 * w.min()
@@ -276,7 +327,7 @@ class TestWeightedNuclear:
         for max_iter in (1, 2, 5, 20, 200):
             out = solve_weighted_nuclear(
                 prob, tol=1e-14, max_iter=max_iter, on_max_iter="return"
-            )
+            ).matrix
             val = weighted_nuclear_objective(prob, out)
             assert val <= prev + 1e-10
             prev = val
@@ -287,7 +338,7 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         lam = 1.0
         prob = WeightedNuclearProblem(w, z, penalty=lam)
-        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=2000)
+        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=2000).matrix
         resid_grad = 2.0 * w * (out - z)
         opnorm = np.linalg.svd(resid_grad, compute_uv=False)[0]
         assert opnorm <= lam + 1e-6
@@ -299,11 +350,33 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         a = solve_weighted_nuclear(
             WeightedNuclearProblem(w, z, penalty=0.7), tol=1e-12, max_iter=500
-        )
+        ).matrix
         b = solve_weighted_nuclear(
             WeightedNuclearProblem(10 * w, z, penalty=7.0), tol=1e-12, max_iter=500
-        )
+        ).matrix
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_returned_nuclear_norm_and_iterations(self, rng, warm):
+        """The EM returns its iterate's nuclear norm (the last shrink sum), the
+        iterations it ran, and whether it stopped before the cap."""
+        shape = (30, 8)
+        w = rng.uniform(0.2, 2.0, shape)
+        z = rng.standard_normal(shape)
+        prob = WeightedNuclearProblem(w, z, penalty=1.5)
+        init = rng.standard_normal(shape) if warm else None
+        init_nuclear = nuclear_norm(init) if warm else None
+        res = solve_weighted_nuclear(
+            prob, tol=1e-10, max_iter=500, init=init, init_nuclear=init_nuclear
+        )
+        assert res.converged and 1 <= res.n_iter < 500
+        assert res.nuclear == pytest.approx(nuclear_norm(res.matrix), rel=1e-12)
+        capped = solve_weighted_nuclear(
+            prob, tol=1e-14, max_iter=2, init=init, init_nuclear=init_nuclear,
+            on_max_iter="return",
+        )
+        assert not capped.converged and capped.n_iter == 2
+        assert capped.nuclear == pytest.approx(nuclear_norm(capped.matrix), rel=1e-12)
 
     def test_cap_raises_with_diagnostic(self, rng):
         shape = (5, 4)
