@@ -18,7 +18,7 @@ objective trace nonincreasing.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -427,8 +427,3 @@ def impute(
             types.append(ctype)
     full_mask = np.ones(frame.shape, dtype=bool)
     return MixedDataFrame(frame.column_names, tuple(types), completed, full_mask)
-
-
-def config_with(config: SolverConfig, **changes) -> SolverConfig:
-    """Copy a config with some fields replaced."""
-    return replace(config, **changes)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +31,30 @@ class DictionaryMetadata:
     overlap_max: float        # largest per-cell sum of |atom| values
     gram_lower_bound: float   # lower bound on the Gram quadratic form
     coherence_sum_max: float  # max_k sum_{l != k} |<U_k, U_l>|
+
+
+class AtomSupports(NamedTuple):
+    """Every atom's nonzero entries, split into runs.
+
+    A run is a maximal stretch of consecutive atoms whose supports are
+    pairwise disjoint.  Run r holds atoms ``runs[r][0]:runs[r][1]`` and
+    entries ``run_ptr[r]:run_ptr[r + 1]``; inside a run the entries may come
+    in any order (the built-in structures list them in cell order).
+    """
+
+    cells: np.ndarray    # flat cell index i * m2 + j of each entry
+    vals: np.ndarray     # the atom's value at that cell
+    owner: np.ndarray    # the atom each entry belongs to
+    runs: tuple          # (first atom, stop atom) of each run
+    run_ptr: np.ndarray  # entry offsets of the runs
+
+
+def _one_run(cells, owner, n_atoms) -> AtomSupports:
+    """Supports of unit-valued atoms that are pairwise disjoint."""
+    return AtomSupports(
+        cells, np.ones(cells.size), owner, ((0, n_atoms),),
+        np.array([0, cells.size], dtype=np.intp),
+    )
 
 
 class Dictionary(abc.ABC):
@@ -70,25 +95,12 @@ class Dictionary(abc.ABC):
         return float(np.sum(weights * field * field))
 
     @abc.abstractmethod
-    def _support_triplets(self):
-        """Yield (rows, cols, vals) index arrays for each atom, in order."""
+    def _atom_supports(self) -> AtomSupports: ...
 
     @cached_property
-    def atom_supports(self):
-        """CSC-style flattened per-atom supports: (indptr, rows, cols, vals)."""
-        indptr = [0]
-        rows, cols, vals = [], [], []
-        for r, c, v in self._support_triplets():
-            rows.append(np.asarray(r, dtype=np.intp))
-            cols.append(np.asarray(c, dtype=np.intp))
-            vals.append(np.asarray(v, dtype=float))
-            indptr.append(indptr[-1] + rows[-1].size)
-        return (
-            np.asarray(indptr, dtype=np.intp),
-            np.concatenate(rows) if rows else np.empty(0, dtype=np.intp),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.intp),
-            np.concatenate(vals) if vals else np.empty(0),
-        )
+    def atom_supports(self) -> AtomSupports:
+        """The atoms' entries and their runs, built once per dictionary."""
+        return self._atom_supports()
 
     def _check_alpha(self, alpha) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float)
@@ -135,7 +147,6 @@ class GroupEffectsDictionary(Dictionary):
         self.assignment.setflags(write=False)
         self.n_groups = h
         self.group_sizes = counts
-        self._group_rows = [np.flatnonzero(assignment == g) for g in range(h)]
 
     @property
     def n_atoms(self) -> int:
@@ -161,13 +172,10 @@ class GroupEffectsDictionary(Dictionary):
             coherence_sum_max=0.0,
         )
 
-    def _support_triplets(self):
-        m2 = self.shape[1]
-        for h in range(self.n_groups):
-            rows = self._group_rows[h]
-            ones = np.ones(rows.size)
-            for q in range(m2):
-                yield rows, np.full(rows.size, q, dtype=np.intp), ones
+    def _atom_supports(self):
+        m1, m2 = self.shape
+        owner = (self.assignment.astype(np.intp)[:, None] * m2 + np.arange(m2)).ravel()
+        return _one_run(np.arange(m1 * m2), owner, self.n_atoms)
 
     def to_descriptor(self):
         return {"type": "groups", "assignment": self.assignment.tolist()}
@@ -198,14 +206,17 @@ class RowColumnDictionary(Dictionary):
             coherence_sum_max=float(max(m1, m2)),
         )
 
-    def _support_triplets(self):
+    def _atom_supports(self):
+        # the row atoms, then the column atoms: every cell once in each run
         m1, m2 = self.shape
-        col_range = np.arange(m2, dtype=np.intp)
-        row_range = np.arange(m1, dtype=np.intp)
-        for i in range(m1):
-            yield np.full(m2, i, dtype=np.intp), col_range, np.ones(m2)
-        for j in range(m2):
-            yield row_range, np.full(m1, j, dtype=np.intp), np.ones(m1)
+        cells = np.arange(m1 * m2)
+        return AtomSupports(
+            np.concatenate([cells, cells]),
+            np.ones(2 * cells.size),
+            np.concatenate([cells // m2, m1 + cells % m2]),
+            ((0, m1), (m1, m1 + m2)),
+            np.array([0, cells.size, 2 * cells.size], dtype=np.intp),
+        )
 
     def to_descriptor(self):
         return {"type": "rowcol"}
@@ -246,14 +257,9 @@ class CorruptionsDictionary(Dictionary):
     def metadata(self):
         return DictionaryMetadata(1.0, 1.0, 1.0, 0.0)
 
-    def _support_triplets(self):
-        one = np.ones(1)
-        for i, j in self.cells:
-            yield (
-                np.array([i], dtype=np.intp),
-                np.array([j], dtype=np.intp),
-                one,
-            )
+    def _atom_supports(self):
+        n = self.n_atoms
+        return _one_run(self._rows * self.shape[1] + self._cols, np.arange(n), n)
 
     def to_descriptor(self):
         return {"type": "corruptions", "cells": [list(c) for c in self.cells]}
@@ -339,8 +345,26 @@ class CustomDictionary(Dictionary):
                 gram[k, l] = gram[l, k] = dot
         return gram
 
-    def _support_triplets(self):
-        yield from self._atoms
+    def _atom_supports(self):
+        m1, m2 = self.shape
+        cells = [rows * m2 + cols for rows, cols, _ in self._atoms]
+        sizes = [c.size for c in cells]
+        # greedy split: a run ends before the first atom that touches one of
+        # its cells
+        last_run = np.full(m1 * m2, -1)
+        starts = [0]
+        for k, c in enumerate(cells):
+            if np.any(last_run[c] == len(starts) - 1):
+                starts.append(k)
+            last_run[c] = len(starts) - 1
+        bounds = starts + [self.n_atoms]
+        return AtomSupports(
+            np.concatenate(cells),
+            np.concatenate([vals for _, _, vals in self._atoms]),
+            np.repeat(np.arange(self.n_atoms), sizes),
+            tuple(zip(bounds[:-1], bounds[1:])),
+            np.cumsum([0] + sizes)[bounds],
+        )
 
     def to_descriptor(self):
         atoms = []

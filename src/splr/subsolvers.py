@@ -5,9 +5,10 @@ The weighted Lasso
     min_a  sum_ij W_ij (Z_ij - apply(a)_ij)^2 + nu * ||a - anchor||_2^2
            + lam2 * ||a||_1
 
-is solved by cyclic coordinate descent with exact per-coordinate
-soft-threshold updates; the ridge term makes every coordinate update strictly
-convex regardless of the atom supports.
+is solved by cyclic block coordinate descent: the atoms, in order, split into
+runs whose supports are pairwise disjoint, and one vectorized soft-threshold
+per run gives the exact per-atom cyclic updates.  The ridge term makes every
+coordinate update strictly convex regardless of the atom supports.
 
 The weighted nuclear problem
 
@@ -151,17 +152,13 @@ def weighted_lasso_objective(prob: WeightedLassoProblem, alpha) -> float:
     )
 
 
-def _segment_dots(values, indptr):
-    return np.add.reduceat(values, indptr[:-1])
-
-
 def weighted_lasso_kkt_residual(prob: WeightedLassoProblem, alpha) -> float:
     """Largest minimum-norm subgradient entry of the objective at ``alpha``."""
     alpha = np.asarray(alpha, dtype=float)
-    indptr, rows, cols, vals = prob.dictionary.atom_supports
-    resid = prob.targets - prob.dictionary.apply(alpha)
-    wv = prob.weights[rows, cols] * vals
-    dots = _segment_dots(wv * resid[rows, cols], indptr)
+    sup = prob.dictionary.atom_supports
+    resid = (prob.targets - prob.dictionary.apply(alpha)).ravel()
+    wv = prob.weights.ravel()[sup.cells] * sup.vals
+    dots = np.bincount(sup.owner, wv * resid[sup.cells], minlength=alpha.size)
     grad = -2.0 * dots + 2.0 * prob.ridge * (alpha - prob.anchor)
     lam = prob.penalty
     kkt = np.where(
@@ -172,14 +169,39 @@ def weighted_lasso_kkt_residual(prob: WeightedLassoProblem, alpha) -> float:
     return float(kkt.max()) if kkt.size else 0.0
 
 
-def _soft(z, gamma):
-    return np.sign(z) * max(abs(z) - gamma, 0.0)
+def _run_blocks(runs, run_ptr, owner, active=None):
+    """One (atoms, entries, owner within atoms, atom count) block per run.
+
+    With ``active`` (sorted atom indices) each block keeps only those atoms
+    and their entries, and runs without one are left out.
+    """
+    blocks = []
+    for (start, stop), e0, e1 in zip(runs, run_ptr[:-1], run_ptr[1:]):
+        own = owner[e0:e1] - start if start else owner[e0:e1]
+        if active is not None:
+            lo, hi = np.searchsorted(active, (start, stop))
+            if hi - lo < stop - start:
+                if hi > lo:
+                    rank = np.full(stop - start, -1)
+                    rank[active[lo:hi] - start] = np.arange(hi - lo)
+                    at = rank[own]
+                    picked = np.flatnonzero(at >= 0)
+                    blocks.append((active[lo:hi], e0 + picked, at[picked], hi - lo))
+                continue
+        blocks.append((slice(start, stop), slice(e0, e1), own, stop - start))
+    return blocks
 
 
 def solve_weighted_lasso(
     prob: WeightedLassoProblem, tol: float = 1e-8, max_iter: int = 1000
 ) -> np.ndarray:
-    """Cyclic coordinate descent with active-set passes after the first sweep.
+    """Cyclic block coordinate descent with active-set passes after the first sweep.
+
+    Each sweep visits the atoms in order, one run (see ``AtomSupports``) at a
+    time.  The atoms of a run share no cell, so none of their cyclic updates
+    reads a residual cell that another one writes, and one vectorized
+    soft-threshold per run gives the per-atom cyclic sweep.  Only entries of
+    positive weight take part.
 
     Returns the minimizer to KKT residual <= tol * max(1, ||2 A^T (W o Z)||_inf),
     the data term's gradient scale at zero (its rounding sets the floor the
@@ -188,36 +210,41 @@ def solve_weighted_lasso(
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
-    indptr, rows, cols, vals = prob.dictionary.atom_supports
+    sup = prob.dictionary.atom_supports
     n = prob.dictionary.n_atoms
-    w_gather = prob.weights[rows, cols]
-    wv = w_gather * vals
-    quad = _segment_dots(wv * vals, indptr) + prob.ridge  # strictly positive
+    cells, vals, owner, run_ptr = sup.cells, sup.vals, sup.owner, sup.run_ptr
+    wv = prob.weights.ravel()[cells]
+    positive = np.flatnonzero(wv > 0)
+    if positive.size < cells.size:
+        cells, vals, owner, wv = (a[positive] for a in (cells, vals, owner, wv))
+        run_ptr = np.searchsorted(positive, run_ptr)
+    wv *= vals
+    quad = np.bincount(owner, wv * vals, minlength=n) + prob.ridge  # > 0
     nu, lam, anchor = prob.ridge, prob.penalty, prob.anchor
-    grad_scale = 2.0 * np.abs(_segment_dots(wv * prob.targets[rows, cols], indptr))
+    grad_scale = 2.0 * np.abs(
+        np.bincount(owner, wv * prob.targets.ravel()[cells], minlength=n)
+    )
     kkt_tol = tol * max(1.0, float(grad_scale.max(initial=0.0)))
 
     alpha = prob.anchor.astype(float).copy()
-    resid = prob.targets - prob.dictionary.apply(alpha)
+    resid = (prob.targets - prob.dictionary.apply(alpha)).ravel()
     obj = weighted_lasso_objective(prob, alpha)
 
-    def cd_pass(indices):
-        for k in indices:
-            lo, hi = indptr[k], indptr[k + 1]
-            r, c, wv_k = rows[lo:hi], cols[lo:hi], wv[lo:hi]
-            dot = float(wv_k @ resid[r, c])
-            b = dot + alpha[k] * (quad[k] - nu) + nu * anchor[k]
-            new = _soft(b, lam / 2.0) / quad[k]
-            delta = new - alpha[k]
-            if delta != 0.0:
-                resid[r, c] -= delta * vals[lo:hi]
-                alpha[k] = new
+    def cd_pass(blocks):
+        for atoms, entries, own, size in blocks:
+            at = cells[entries]
+            dots = np.bincount(own, wv[entries] * resid[at], minlength=size)
+            old, q = alpha[atoms], quad[atoms]
+            b = dots + old * (q - nu) + nu * anchor[atoms]
+            new = np.sign(b) * np.maximum(np.abs(b) - lam / 2.0, 0.0) / q
+            resid[at] -= (new - old)[own] * vals[entries]
+            alpha[atoms] = new
 
-    all_indices = np.arange(n)
+    all_blocks = _run_blocks(sup.runs, run_ptr, owner)
     sweeps = 0
     kkt = np.inf
     while sweeps < max_iter:
-        cd_pass(all_indices)
+        cd_pass(all_blocks)
         sweeps += 1
         new_obj = weighted_lasso_objective(prob, alpha)
         if new_obj > obj + 1e-9 * max(1.0, abs(obj)):
@@ -229,9 +256,10 @@ def solve_weighted_lasso(
         if kkt <= kkt_tol:
             return alpha
         active = np.flatnonzero(alpha)
+        active_blocks = _run_blocks(sup.runs, run_ptr, owner, active)
         while active.size and sweeps < max_iter:
             before = alpha[active].copy()
-            cd_pass(active)
+            cd_pass(active_blocks)
             sweeps += 1
             if np.max(np.abs(alpha[active] - before)) <= 0.1 * tol:
                 break
@@ -301,6 +329,8 @@ def solve_weighted_nuclear(
         raise InvalidInputError("on_max_iter must be 'raise' or 'return'")
     w_max = float(prob.weights.max())
     omega = prob.weights / w_max
+    observed = omega * prob.targets
+    keep = np.subtract(1.0, omega, out=omega)  # omega's last use
     threshold = prob.penalty / (2.0 * w_max)
     if init is None:
         current, nuc = np.zeros_like(prob.targets), 0.0
@@ -313,7 +343,8 @@ def solve_weighted_nuclear(
     obj = weighted_nuclear_objective(prob, current, nuc)
     rel_change = np.inf
     for n_iter in range(1, max_iter + 1):
-        blended = omega * prob.targets + (1.0 - omega) * current
+        blended = keep * current
+        blended += observed
         new, new_nuc, _ = _svt_with_diagnostics(blended, threshold)
         new_obj = weighted_nuclear_objective(prob, new, new_nuc)
         if new_obj > obj + 1e-9 * max(1.0, abs(obj)):

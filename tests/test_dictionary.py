@@ -131,6 +131,34 @@ class TestAdjoint:
         np.testing.assert_allclose(d.adjoint(grad), expected, atol=1e-12)
 
 
+class TestAtomSupports:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_entries_match_dense_oracle(self, kind, rng):
+        d = make_dictionary(kind, (7, 5), rng)
+        sup = d.atom_supports
+        for k, atom in enumerate(dense_atoms(d)):
+            rebuilt = np.zeros(d.shape[0] * d.shape[1])
+            np.add.at(rebuilt, sup.cells[sup.owner == k], sup.vals[sup.owner == k])
+            np.testing.assert_array_equal(rebuilt.reshape(d.shape), atom)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_runs_are_maximal_disjoint_stretches(self, kind, rng):
+        d = make_dictionary(kind, (7, 5), rng)
+        sup = d.atom_supports
+        starts = [start for start, _ in sup.runs]
+        stops = [stop for _, stop in sup.runs]
+        assert starts == [0] + stops[:-1] and stops[-1] == d.n_atoms
+        for r, (start, stop) in enumerate(sup.runs):
+            entries = slice(sup.run_ptr[r], sup.run_ptr[r + 1])
+            owners = sup.owner[entries]
+            assert np.all((owners >= start) & (owners < stop))
+            cells = sup.cells[entries]
+            assert np.unique(cells).size == cells.size  # pairwise disjoint
+            if stop < d.n_atoms:  # the next atom touches the run
+                assert np.isin(sup.cells[sup.owner == stop], cells).any()
+        assert sup.run_ptr[-1] == sup.cells.size
+
+
 class TestGramQuadratic:
     def test_corruptions_unit_weights_is_l2(self, rng):
         d = make_dictionary("corruptions", (5, 4), rng)

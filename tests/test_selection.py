@@ -1,5 +1,6 @@
 """Penalty anchors and cross-validation mechanics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -190,7 +191,7 @@ class TestCrossValidate:
             train, links, d, grid, config, held, y_true, frame.column_types
         )
         for (i1, i2), warm_fit in fits.items():
-            cfg = bcgd.config_with(
+            cfg = dataclasses.replace(
                 config, lam1=float(grid.lambda1[i1]), lam2=float(grid.lambda2[i2])
             )
             cold = bcgd.fit(train, links, d, cfg)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import svd as scipy_svd
 
 from splr import subsolvers
-from splr.dictionary import CorruptionsDictionary, CustomDictionary
+from splr.dictionary import (
+    CorruptionsDictionary,
+    CustomDictionary,
+    GroupEffectsDictionary,
+    RowColumnDictionary,
+    equal_group_assignment,
+)
 from splr.exceptions import ConvergenceError, InvalidInputError
 from splr.subsolvers import (
     WeightedLassoProblem,
@@ -165,6 +171,107 @@ class TestWeightedLasso:
                 anchor=np.zeros(4),
                 penalty=0.0,
             )
+
+
+def cyclic_cd(prob, max_sweeps=1):
+    """Per-atom cyclic coordinate descent from the anchor, with dense atoms:
+    each update is the exact minimizer over one coordinate.  Stops early at a
+    sweep that moves no coordinate by more than rounding."""
+    d = prob.dictionary
+    w, nu, lam, anchor = prob.weights, prob.ridge, prob.penalty, prob.anchor
+    atoms = [d.apply(e) for e in np.eye(d.n_atoms)]
+    quads = [np.sum(w * u * u) + nu for u in atoms]
+    alpha = anchor.astype(float).copy()
+    resid = prob.targets - d.apply(alpha)
+    for _ in range(max_sweeps):
+        before = alpha.copy()
+        for k, (u, quad) in enumerate(zip(atoms, quads)):
+            b = np.sum(w * u * resid) + alpha[k] * (quad - nu) + nu * anchor[k]
+            new = np.sign(b) * max(abs(b) - lam / 2.0, 0.0) / quad
+            resid -= (new - alpha[k]) * u
+            alpha[k] = new
+        if np.abs(alpha - before).max() <= 1e-15 * max(1.0, np.abs(alpha).max()):
+            break
+    return alpha
+
+
+def random_lasso_problem(kind, seed):
+    """A small problem on one dictionary structure; the first atom's cells and
+    about a third of the rest get zero weight."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+    shape = (m1, m2)
+    if kind == "custom":
+        atoms = []
+        for _ in range(int(rng.integers(2, 9))):
+            cells = rng.choice(m1 * m2, size=int(rng.integers(1, 5)), replace=False)
+            atoms.append(
+                [(int(c) // m2, int(c) % m2, float(rng.uniform(-1, 1))) for c in cells]
+            )
+        d = CustomDictionary(atoms, shape)
+    elif kind == "rowcol":
+        d = RowColumnDictionary(shape)
+    elif kind == "groups":
+        h = int(rng.integers(1, m1 + 1))
+        labels = rng.permutation(equal_group_assignment(m1, h))
+        d = GroupEffectsDictionary(labels, shape)
+    else:
+        n = int(rng.integers(1, m1 * m2 + 1))
+        cells = rng.choice(m1 * m2, size=n, replace=False)
+        d = CorruptionsDictionary([(int(c) // m2, int(c) % m2) for c in cells], shape)
+    weights = rng.uniform(0.2, 2.0, shape) * (rng.random(shape) > 0.3)
+    weights[d.apply(np.eye(d.n_atoms)[0]) != 0] = 0.0
+    return WeightedLassoProblem(
+        d,
+        weights,
+        2.0 * rng.standard_normal(shape),
+        ridge=float(rng.uniform(0.1, 1.0)),
+        anchor=0.5 * rng.standard_normal(d.n_atoms),
+        penalty=float(rng.choice([0.0, rng.uniform(0.0, 3.0)])),
+    )
+
+
+class TestLassoRuns:
+    """The block sweep against the per-atom cyclic sweep it stands for."""
+
+    @given(
+        kind=st.sampled_from(["custom", "rowcol", "groups", "corruptions"]),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_atom_cyclic_descent(self, kind, seed):
+        prob = random_lasso_problem(kind, seed)
+        # a tolerance this loose is met by the first sweep's KKT residual
+        one_sweep = solve_weighted_lasso(prob, tol=1e300)
+        expected = cyclic_cd(prob)
+        scale = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(one_sweep, expected, rtol=0, atol=1e-12 * scale)
+        solution = solve_weighted_lasso(prob, tol=1e-14)
+        expected = cyclic_cd(prob, max_sweeps=5000)
+        scale = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(solution, expected, rtol=0, atol=1e-12 * scale)
+
+    def test_rowcol_splits_rows_from_columns(self):
+        assert RowColumnDictionary((5, 4)).atom_supports.runs == ((0, 5), (5, 9))
+
+    def test_groups_form_one_run(self):
+        # unsigned labels must still give integer atom indices
+        d = GroupEffectsDictionary(np.array([0, 1, 2, 1, 0], dtype=np.uint64), (5, 3))
+        assert d.atom_supports.runs == ((0, 9),)
+        np.testing.assert_array_equal(
+            d.atom_supports.owner, [0, 1, 2, 3, 4, 5, 6, 7, 8, 3, 4, 5, 0, 1, 2]
+        )
+
+    def test_custom_order_sets_the_runs(self):
+        atoms = [
+            [(0, 0, 1.0)],
+            [(0, 1, 1.0)],
+            [(0, 0, 0.5), (1, 1, 1.0)],  # touches atom 0
+            [(1, 0, 1.0)],
+            [(1, 1, -1.0)],  # touches atom 2
+        ]
+        d = CustomDictionary(atoms, (2, 2))
+        assert d.atom_supports.runs == ((0, 2), (2, 4), (4, 5))
 
 
 class TestSvt:
