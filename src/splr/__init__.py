@@ -11,19 +11,16 @@ from .dictionary import (
     CorruptionsDictionary,
     CustomDictionary,
     Dictionary,
-    DictionaryMetadata,
     GroupEffectsDictionary,
     RowColumnDictionary,
     build_dictionary,
     equal_group_assignment,
 )
-from .expfam import CurvatureBounds, LinkSpec, curvature_bounds, predicted_means
+from .expfam import LinkSpec, predicted_means
 from .frame import (
     ColumnType,
-    MaskStats,
     MixedDataFrame,
     default_links,
-    mask_stats,
     read_csv,
     read_schema,
     write_csv,
@@ -44,15 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ColumnType",
     "CorruptionsDictionary",
-    "CurvatureBounds",
     "CustomDictionary",
     "CVReport",
     "Dictionary",
-    "DictionaryMetadata",
     "GroupEffectsDictionary",
     "LambdaGrid",
     "LinkSpec",
-    "MaskStats",
     "MixedDataFrame",
     "ModelFit",
     "RowColumnDictionary",
@@ -63,14 +57,12 @@ __all__ = [
     "WeightedNuclearProblem",
     "build_dictionary",
     "cross_validate",
-    "curvature_bounds",
     "default_grid",
     "default_links",
     "equal_group_assignment",
     "error_metrics",
     "fit",
     "impute",
-    "mask_stats",
     "nuclear_norm",
     "objective",
     "predicted_means",

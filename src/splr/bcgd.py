@@ -61,10 +61,8 @@ class SolverConfig:
     lasso_max_iter: int = 1000
     nuclear_tol: float = 1e-6
     nuclear_max_iter: int = 100
-    nuclear_strict: bool = False
     update_alpha: bool = True
     update_l: bool = True
-    clip_box: float | None = None
     stall_floor: float = 1e-12
     curvature_floor: float = 1e-10
 
@@ -83,8 +81,6 @@ class SolverConfig:
             raise InvalidInputError("theta must be in [0, 1)")
         if not self.eps_f > 0 or self.max_outer < 1:
             raise InvalidInputError("eps_f must be > 0 and max_outer >= 1")
-        if self.clip_box is not None and not self.clip_box > 0:
-            raise InvalidInputError("clip_box must be > 0 when set")
 
 
 @dataclass
@@ -269,7 +265,7 @@ def l_step(
         config.nuclear_max_iter,
         init=state.low_rank,
         init_nuclear=nuclear_current,
-        on_max_iter="raise" if config.nuclear_strict else "return",
+        on_max_iter="return",
     )
     solution, capped = solve.matrix, not solve.converged
     direction = solution - state.low_rank
@@ -375,14 +371,10 @@ def fit(
             f"fit aborted at outer iteration {n_iter + 1}: {exc}", trace=trace
         ) from exc
 
-    alpha_hat, l_hat = state.alpha, state.low_rank
-    if config.clip_box is not None:
-        alpha_hat = np.clip(alpha_hat, -config.clip_box, config.clip_box)
-        l_hat = np.clip(l_hat, -config.clip_box, config.clip_box)
-    x_hat = dictionary.apply(alpha_hat) + l_hat
+    x_hat = dictionary.apply(state.alpha) + state.low_rank
     return ModelFit(
-        alpha_hat=alpha_hat,
-        l_hat=l_hat,
+        alpha_hat=state.alpha,
+        l_hat=state.low_rank,
         x_hat=x_hat,
         objective_trace=np.asarray(trace),
         step_trace=steps,

@@ -6,31 +6,19 @@ structures (group indicators, row/column indicators, single-cell corruptions)
 never materialize their atoms: apply/adjoint are closed-form index arithmetic,
 O(m1*m2) regardless of N.  Custom dictionaries store atoms as sparse triplets.
 
-Every atom entry must lie in [-1, 1]; the per-cell overlap bound
-max_(i,j) sum_k |U^k_ij| is part of the reported metadata and keeps the
-l1-penalty scale meaningful across structures.
+Every atom entry must lie in [-1, 1], which keeps the l1-penalty scale
+meaningful across structures.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidInputError, ShapeMismatchError
-
-
-@dataclass(frozen=True)
-class DictionaryMetadata:
-    """Structural constants used by penalty calibration and tests."""
-
-    atom_l1_max: float        # largest entrywise l1 norm over atoms
-    overlap_max: float        # largest per-cell sum of |atom| values
-    gram_lower_bound: float   # lower bound on the Gram quadratic form
-    coherence_sum_max: float  # max_k sum_{l != k} |<U_k, U_l>|
 
 
 class AtomSupports(NamedTuple):
@@ -79,20 +67,7 @@ class Dictionary(abc.ABC):
         """Coordinate k of the output is the trace inner product <U^k, grad>."""
 
     @abc.abstractmethod
-    def metadata(self) -> DictionaryMetadata: ...
-
-    @abc.abstractmethod
     def to_descriptor(self) -> dict: ...
-
-    def gram_quadratic(self, alpha, weights) -> float:
-        """Weighted energy sum_ij W_ij * (apply(alpha)_ij)^2."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != self.shape:
-            raise ShapeMismatchError(
-                f"weights shape {weights.shape} != dictionary shape {self.shape}"
-            )
-        field = self.apply(alpha)
-        return float(np.sum(weights * field * field))
 
     @abc.abstractmethod
     def _atom_supports(self) -> AtomSupports: ...
@@ -163,15 +138,6 @@ class GroupEffectsDictionary(Dictionary):
         np.add.at(out, self.assignment, grad)
         return out.ravel()
 
-    def metadata(self):
-        sizes = self.group_sizes
-        return DictionaryMetadata(
-            atom_l1_max=float(sizes.max()),
-            overlap_max=1.0,
-            gram_lower_bound=float(sizes.min()),
-            coherence_sum_max=0.0,
-        )
-
     def _atom_supports(self):
         m1, m2 = self.shape
         owner = (self.assignment.astype(np.intp)[:, None] * m2 + np.arange(m2)).ravel()
@@ -196,15 +162,6 @@ class RowColumnDictionary(Dictionary):
     def adjoint(self, grad):
         grad = self._check_grad(grad)
         return np.concatenate([grad.sum(axis=1), grad.sum(axis=0)])
-
-    def metadata(self):
-        m1, m2 = self.shape
-        return DictionaryMetadata(
-            atom_l1_max=float(max(m1, m2)),
-            overlap_max=2.0,
-            gram_lower_bound=float(min(m1, m2)),
-            coherence_sum_max=float(max(m1, m2)),
-        )
 
     def _atom_supports(self):
         # the row atoms, then the column atoms: every cell once in each run
@@ -253,9 +210,6 @@ class CorruptionsDictionary(Dictionary):
     def adjoint(self, grad):
         grad = self._check_grad(grad)
         return grad[self._rows, self._cols].copy()
-
-    def metadata(self):
-        return DictionaryMetadata(1.0, 1.0, 1.0, 0.0)
 
     def _atom_supports(self):
         n = self.n_atoms
@@ -309,41 +263,6 @@ class CustomDictionary(Dictionary):
         return np.array(
             [np.dot(vals, grad[rows, cols]) for rows, cols, vals in self._atoms]
         )
-
-    def metadata(self, gram_cap: int = 100_000):
-        if self.n_atoms > gram_cap:
-            raise InvalidInputError(
-                f"refusing brute-force Gram analysis for {self.n_atoms} atoms "
-                f"(cap {gram_cap})"
-            )
-        overlap = np.zeros(self.shape)
-        for rows, cols, vals in self._atoms:
-            np.add.at(overlap, (rows, cols), np.abs(vals))
-        gram = self._dense_gram()
-        off_diag = np.abs(gram) - np.diag(np.abs(np.diag(gram)))
-        return DictionaryMetadata(
-            atom_l1_max=float(max(np.abs(v).sum() for _, _, v in self._atoms)),
-            overlap_max=float(overlap.max()),
-            gram_lower_bound=float(np.linalg.eigvalsh(gram).min()),
-            coherence_sum_max=float(off_diag.sum(axis=1).max()),
-        )
-
-    def _dense_gram(self):
-        n = self.n_atoms
-        gram = np.zeros((n, n))
-        flat = []
-        for rows, cols, vals in self._atoms:
-            flat.append((rows * self.shape[1] + cols, vals))
-        for k in range(n):
-            idx_k, val_k = flat[k]
-            lookup = dict(zip(idx_k.tolist(), val_k.tolist()))
-            for l in range(k, n):
-                idx_l, val_l = flat[l]
-                dot = sum(
-                    lookup.get(int(i), 0.0) * v for i, v in zip(idx_l, val_l)
-                )
-                gram[k, l] = gram[l, k] = dot
-        return gram
 
     def _atom_supports(self):
         m1, m2 = self.shape

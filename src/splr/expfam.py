@@ -6,10 +6,12 @@ the solver is the negative quasi-log-likelihood
 
     sum over observed (i, j) of  -Y_ij * X_ij + g_j(X_ij),
 
-together with its entrywise gradient and curvature.  Unobserved entries
-contribute exactly zero to every quantity here; the implementation only ever
-evaluates links at observed positions, so masked cells can hold arbitrary
-parameter values without affecting results.
+together with its entrywise gradient and curvature.  Every quantity here
+works over one gather: the frame's flat row-major indices of its observed
+cells, split by distinct link, with the parameters and the data read at those
+cells.  Links are only ever evaluated there, so unobserved entries contribute
+exactly zero and masked cells can hold arbitrary parameter values without
+affecting results.
 """
 
 from __future__ import annotations
@@ -98,40 +100,6 @@ class LinkSpec:
         return self.a * self.a * self._exp_ax(x)
 
 
-@dataclass(frozen=True)
-class CurvatureBounds:
-    """Bounds on g'' over the symmetric interval [-box_radius, box_radius]."""
-
-    sigma_min_sq: float
-    sigma_max_sq: float
-    box_radius: float
-
-    def __post_init__(self):
-        if not (0 < self.sigma_min_sq <= self.sigma_max_sq < np.inf):
-            raise InvalidInputError(
-                "curvature bounds require 0 < sigma_min_sq <= sigma_max_sq < inf"
-            )
-
-
-def curvature_bounds(link: LinkSpec, box_radius: float) -> CurvatureBounds:
-    """Exact min/max of g'' over [-box_radius, box_radius]."""
-    if box_radius < 0:
-        raise InvalidInputError("box_radius must be >= 0")
-    r = float(box_radius)
-    if link.kind == GAUSSIAN:
-        lo = hi = link.sigma2
-    elif link.kind == BERNOULLI:
-        # p(1-p) peaks at x = 0 and decays monotonically in |x|
-        hi = 0.25
-        p = expit(r)
-        lo = p * (1.0 - p)
-    else:
-        # a^2 * exp(a*x) is monotone in x
-        vals = link.gsecond(np.array([-r, r]))
-        lo, hi = float(vals.min()), float(vals.max())
-    return CurvatureBounds(float(lo), float(hi), r)
-
-
 def _check_inputs(x, frame, links):
     x = np.asarray(x, dtype=float)
     if x.shape != (frame.n_rows, frame.n_cols):
@@ -148,55 +116,54 @@ def _check_inputs(x, frame, links):
     return x
 
 
-def _link_blocks(links):
-    """Column indices grouped by identical link, so frame-level loops run one
-    vectorized pass per distinct link instead of one per column."""
-    blocks = {}
-    for j, link in enumerate(links):
-        blocks.setdefault(link, []).append(j)
-    return [(link, np.asarray(cols)) for link, cols in blocks.items()]
+def _observed_by_link(x, frame, links):
+    """Yield (link, flat cells, x there, y there) once per distinct link
+    with an observed cell: links in order of first use, each link's cells
+    in row-major order."""
+    x = _check_inputs(x, frame, links)
+    cells = frame.observed_cells
+    distinct = {}
+    codes = np.array([distinct.setdefault(link, len(distinct)) for link in links])
+    if len(distinct) == 1:
+        yield links[0], cells, x.take(cells), frame.values.take(cells)
+        return
+    owner = codes[cells % frame.n_cols]
+    for link, code in distinct.items():
+        own = cells[owner == code]
+        if own.size:
+            yield link, own, x.take(own), frame.values.take(own)
+
+
+def _scatter(frame, parts):
+    """A zero matrix of the frame's shape holding each (flat cells, values)."""
+    out = np.zeros(frame.values.size)
+    for cells, vals in parts:
+        out[cells] = vals
+    return out.reshape(frame.shape)
 
 
 def quasi_loglik_neg(x, frame, links) -> float:
     """Negative quasi-log-likelihood summed over observed entries."""
-    x = _check_inputs(x, frame, links)
     total = 0.0
-    for link, cols in _link_blocks(links):
-        obs = frame.mask[:, cols]
-        if not obs.any():
-            continue
-        xo = x[:, cols][obs]
-        yo = frame.values[:, cols][obs]
+    for link, _, xo, yo in _observed_by_link(x, frame, links):
         total += float(np.sum(-yo * xo + link.g(xo)))
     return total
 
 
 def gradient(x, frame, links) -> np.ndarray:
     """Entrywise gradient of the quasi-log-likelihood; zero where unobserved."""
-    x = _check_inputs(x, frame, links)
-    out = np.zeros_like(x)
-    for link, cols in _link_blocks(links):
-        obs = frame.mask[:, cols]
-        if not obs.any():
-            continue
-        block = np.zeros(obs.shape)
-        block[obs] = -frame.values[:, cols][obs] + link.gprime(x[:, cols][obs])
-        out[:, cols] = block
-    return out
+    return _scatter(frame, [
+        (cells, -yo + link.gprime(xo))
+        for link, cells, xo, yo in _observed_by_link(x, frame, links)
+    ])
 
 
 def curvature_weights(x, frame, links) -> np.ndarray:
     """Per-entry quadratic-model weights g''(x)/2; zero where unobserved."""
-    x = _check_inputs(x, frame, links)
-    out = np.zeros_like(x)
-    for link, cols in _link_blocks(links):
-        obs = frame.mask[:, cols]
-        if not obs.any():
-            continue
-        block = np.zeros(obs.shape)
-        block[obs] = 0.5 * link.gsecond(x[:, cols][obs])
-        out[:, cols] = block
-    return out
+    return _scatter(frame, [
+        (cells, 0.5 * link.gsecond(xo))
+        for link, cells, xo, _ in _observed_by_link(x, frame, links)
+    ])
 
 
 def working_responses(x, frame, links, curvature_floor: float = 1e-10) -> np.ndarray:
@@ -205,27 +172,18 @@ def working_responses(x, frame, links, curvature_floor: float = 1e-10) -> np.nda
     Unobserved entries always carry zero weight downstream, so the value
     chosen there is inert.
     """
-    x = _check_inputs(x, frame, links)
-    out = np.zeros_like(x)
-    for link, cols in _link_blocks(links):
-        obs = frame.mask[:, cols]
-        if not obs.any():
-            continue
-        xo = x[:, cols][obs]
+    parts = []
+    for link, cells, xo, yo in _observed_by_link(x, frame, links):
         curv = link.gsecond(xo)
         if np.any(curv < curvature_floor):
-            flat = int(np.argmin(curv))
-            rows_idx, cols_idx = np.nonzero(obs)
-            bad = (int(rows_idx[flat]), int(cols[cols_idx[flat]]))
+            bad = divmod(int(cells[np.argmin(curv)]), frame.n_cols)
             raise NumericDegeneracyError(
                 f"curvature underflow below {curvature_floor:g} at entry "
                 f"({bad[0]}, {bad[1]})",
                 entry=bad,
             )
-        block = np.zeros(obs.shape)
-        block[obs] = (frame.values[:, cols][obs] - link.gprime(xo)) / curv
-        out[:, cols] = block
-    return out
+        parts.append((cells, (yo - link.gprime(xo)) / curv))
+    return _scatter(frame, parts)
 
 
 def predicted_means(x, links) -> np.ndarray:

@@ -112,6 +112,13 @@ class MixedDataFrame:
         filled.setflags(write=False)
         return filled
 
+    @cached_property
+    def observed_cells(self) -> np.ndarray:
+        """Flat row-major indices i * n_cols + j of the observed cells; read-only."""
+        cells = np.flatnonzero(self.mask)
+        cells.setflags(write=False)
+        return cells
+
     def __eq__(self, other):
         if not isinstance(other, MixedDataFrame):
             return NotImplemented
@@ -121,26 +128,6 @@ class MixedDataFrame:
             and np.array_equal(self.mask, other.mask)
             and np.array_equal(self.y_filled, other.y_filled)
         )
-
-
-@dataclass(frozen=True)
-class MaskStats:
-    """Empirical observation-rate summaries of a mask realization."""
-
-    p_hat: float
-    beta_hat: int
-
-    def __post_init__(self):
-        if not 0 < self.p_hat <= 1:
-            raise InvalidInputError("p_hat must lie in (0, 1]")
-
-
-def mask_stats(frame: MixedDataFrame) -> MaskStats:
-    """Observed fraction and the largest row/column observed count."""
-    mask = frame.mask
-    p_hat = mask.sum() / mask.size
-    beta_hat = max(mask.sum(axis=0).max(), mask.sum(axis=1).max())
-    return MaskStats(float(p_hat), int(beta_hat))
 
 
 def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:

@@ -116,6 +116,12 @@ def soft_threshold_singular_values(a, lam: float):
     return out
 
 
+def _check_finite(**arrays):
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"{name} has non-finite entries")
+
+
 @dataclass
 class WeightedLassoProblem:
     dictionary: Dictionary
@@ -134,6 +140,7 @@ class WeightedLassoProblem:
             raise ShapeMismatchError("weights/targets must match the dictionary shape")
         if self.anchor.shape != (self.dictionary.n_atoms,):
             raise ShapeMismatchError("anchor length must equal the number of atoms")
+        _check_finite(weights=self.weights, targets=self.targets, anchor=self.anchor)
         if np.any(self.weights < 0):
             raise InvalidInputError("weights must be nonnegative")
         if not self.ridge > 0:
@@ -281,6 +288,7 @@ class WeightedNuclearProblem:
         self.targets = np.asarray(self.targets, dtype=float)
         if self.weights.shape != self.targets.shape or self.weights.ndim != 2:
             raise ShapeMismatchError("weights and targets must be equal 2-d shapes")
+        _check_finite(weights=self.weights, targets=self.targets)
         if np.any(self.weights <= 0):
             raise InvalidInputError("nuclear-problem weights must be strictly positive")
         if self.penalty < 0:

@@ -11,7 +11,7 @@ from splr.dictionary import (
     RowColumnDictionary,
     equal_group_assignment,
 )
-from splr.exceptions import FitAbortedError, InvalidInputError
+from splr.exceptions import ConvergenceError, FitAbortedError, InvalidInputError
 from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
 from conftest import gaussian_prox_gradient_reference, make_mixed_instance
@@ -322,15 +322,17 @@ class TestFit:
         assert np.any(result.l_hat != 0.0)
 
     def test_abort_attaches_partial_trace(self, rng):
+        # row and column atoms overlap, so one Lasso sweep cannot meet the
+        # KKT tolerance and the alpha step fails with a ConvergenceError
         frame, links = gaussian_frame(rng, 8, 5, p_obs=0.5)
-        d = groups_dict(8, 5)
+        d = RowColumnDictionary((8, 5))
         config = SolverConfig(
-            lam1=0.1, lam2=0.0, nuclear_strict=True, nuclear_max_iter=1,
-            nuclear_tol=1e-14, max_outer=10,
+            lam1=0.1, lam2=0.0, lasso_max_iter=1, lasso_tol=1e-14, max_outer=10,
         )
         with pytest.raises(FitAbortedError) as err:
             fit(frame, links, d, config)
         assert len(err.value.trace) >= 1
+        assert isinstance(err.value.__cause__, ConvergenceError)
 
     def test_nonconverged_flag(self, rng):
         frame, links = gaussian_frame(rng, 8, 5)
@@ -363,19 +365,6 @@ class TestFit:
                     res_l.direction**2
                 ) + 1e-12
             state = res_l.state
-
-    def test_clip_box_caps_coefficients(self, rng):
-        frame, links = gaussian_frame(rng, 8, 5)
-        d = groups_dict(8, 5)
-        result = fit(
-            frame, links, d,
-            SolverConfig(lam1=0.01, lam2=0.01, clip_box=0.05, max_outer=20),
-        )
-        assert np.abs(result.alpha_hat).max() <= 0.05
-        assert np.abs(result.l_hat).max() <= 0.05
-        np.testing.assert_allclose(
-            result.x_hat, d.apply(result.alpha_hat) + result.l_hat, atol=1e-12
-        )
 
 
 class TestNuclearCapHits:

@@ -140,6 +140,7 @@ class TestAtomSupports:
             rebuilt = np.zeros(d.shape[0] * d.shape[1])
             np.add.at(rebuilt, sup.cells[sup.owner == k], sup.vals[sup.owner == k])
             np.testing.assert_array_equal(rebuilt.reshape(d.shape), atom)
+        assert np.abs(sup.vals).max() <= 1.0  # every atom entry in [-1, 1]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_runs_are_maximal_disjoint_stretches(self, kind, rng):
@@ -157,103 +158,6 @@ class TestAtomSupports:
             if stop < d.n_atoms:  # the next atom touches the run
                 assert np.isin(sup.cells[sup.owner == stop], cells).any()
         assert sup.run_ptr[-1] == sup.cells.size
-
-
-class TestGramQuadratic:
-    def test_corruptions_unit_weights_is_l2(self, rng):
-        d = make_dictionary("corruptions", (5, 4), rng)
-        alpha = rng.standard_normal(d.n_atoms)
-        val = d.gram_quadratic(alpha, np.ones((5, 4)))
-        assert val == pytest.approx(float(np.sum(alpha**2)), abs=1e-12)
-
-    def test_group_effects_unit_weights(self, rng):
-        assignment = [0, 0, 0, 1, 1]
-        d = GroupEffectsDictionary(assignment, (5, 2))
-        alpha = rng.standard_normal(d.n_atoms)
-        sizes = np.array([3.0, 3.0, 2.0, 2.0])  # atom order (h, q)
-        expected = float(np.sum(sizes * alpha**2))
-        assert d.gram_quadratic(alpha, np.ones((5, 2))) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_matches_dense_oracle(self, kind, rng):
-        d = make_dictionary(kind, (6, 5), rng)
-        atoms = dense_atoms(d)
-        alpha = rng.standard_normal(d.n_atoms)
-        weights = rng.random(d.shape)
-        field = sum(a * u for a, u in zip(alpha, atoms))
-        expected = float(np.sum(weights * field**2))
-        assert d.gram_quadratic(alpha, weights) == pytest.approx(
-            expected, abs=1e-12 * max(1, expected)
-        )
-
-
-class TestMetadata:
-    def test_corruptions_constants(self, rng):
-        d = make_dictionary("corruptions", (6, 5), rng)
-        meta = d.metadata()
-        assert (meta.atom_l1_max, meta.overlap_max, meta.gram_lower_bound) == (
-            1.0,
-            1.0,
-            1.0,
-        )
-        assert meta.coherence_sum_max == 0.0
-
-    def test_rowcol_large(self):
-        meta = RowColumnDictionary((300, 30)).metadata()
-        assert meta.atom_l1_max == 300.0
-        assert meta.gram_lower_bound == 30.0
-        assert meta.overlap_max == 2.0
-        assert meta.coherence_sum_max == 300.0
-
-    def test_equal_groups(self):
-        d = GroupEffectsDictionary(equal_group_assignment(300, 5), (300, 4))
-        meta = d.metadata()
-        assert meta.atom_l1_max == 60.0
-        assert meta.gram_lower_bound == 60.0
-        assert meta.overlap_max == 1.0
-        assert meta.coherence_sum_max == 0.0
-
-    def test_custom_brute_force_agrees_with_closed_forms(self):
-        """Re-express small built-ins as custom atoms; brute force must agree."""
-        for proto in (
-            GroupEffectsDictionary([0, 0, 1], (3, 2)),
-            CorruptionsDictionary([(0, 0), (2, 1)], (3, 2)),
-        ):
-            atoms = []
-            for u in dense_atoms(proto):
-                rows, cols = np.nonzero(u)
-                atoms.append(
-                    [(int(i), int(j), float(u[i, j])) for i, j in zip(rows, cols)]
-                )
-            custom = CustomDictionary(atoms, (3, 2))
-            got = custom.metadata()
-            want = proto.metadata()
-            assert got.atom_l1_max == want.atom_l1_max
-            assert got.overlap_max == want.overlap_max
-            assert got.gram_lower_bound == pytest.approx(
-                want.gram_lower_bound, abs=1e-9
-            )
-            assert got.coherence_sum_max == pytest.approx(
-                want.coherence_sum_max, abs=1e-12
-            )
-
-    def test_custom_gram_cap(self, rng):
-        d = make_dictionary("custom", (4, 4), rng)
-        with pytest.raises(InvalidInputError):
-            d.metadata(gram_cap=2)
-
-
-class TestOverlapBound:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_declared_overlap_is_attained(self, kind, rng):
-        d = make_dictionary(kind, (6, 5), rng)
-        overlap = sum(np.abs(u) for u in dense_atoms(d))
-        assert overlap.max() == pytest.approx(d.metadata().overlap_max)
-        # and every atom entry obeys the [-1, 1] box
-        for u in dense_atoms(d):
-            assert np.abs(u).max() <= 1.0
 
 
 class TestValidation:

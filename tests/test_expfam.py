@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splr import expfam
 from splr.exceptions import (
@@ -9,7 +11,7 @@ from splr.exceptions import (
     NumericDegeneracyError,
     ShapeMismatchError,
 )
-from splr.expfam import LinkSpec, curvature_bounds
+from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
 
 from conftest import make_mixed_instance
@@ -17,6 +19,86 @@ from conftest import make_mixed_instance
 
 def single_cell_frame(y, ctype):
     return MixedDataFrame(("c",), (ctype,), np.array([[y]]), np.array([[True]]))
+
+
+G1, G2, BERN, POIS = (
+    LinkSpec.gaussian(), LinkSpec.gaussian(2.5), LinkSpec.bernoulli(),
+    LinkSpec.poisson(0.5),
+)
+_CTYPE = {"gaussian": ColumnType.NUMERIC, "bernoulli": ColumnType.BINARY,
+          "poisson": ColumnType.COUNT}
+
+
+def link_instance(links, mask, seed):
+    """(x, frame, links) with data of each column's type and x in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    m1, m2 = mask.shape
+    values = np.empty((m1, m2))
+    for j, link in enumerate(links):
+        if link.kind == "gaussian":
+            values[:, j] = rng.standard_normal(m1)
+        else:
+            values[:, j] = rng.integers(0, 2 if link.kind == "bernoulli" else 6, m1)
+    frame = MixedDataFrame(
+        tuple(f"c{j}" for j in range(m2)),
+        tuple(_CTYPE[link.kind] for link in links),
+        values, mask,
+    )
+    return rng.uniform(-3.0, 3.0, (m1, m2)), frame, links
+
+
+@st.composite
+def link_instances(draw):
+    m1, m2 = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    links = draw(st.lists(st.sampled_from([G1, G2, BERN, POIS]),
+                          min_size=m2, max_size=m2))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=m1 * m2,
+                                  max_size=m1 * m2))).reshape(m1, m2)
+    mask.flat[draw(st.integers(0, m1 * m2 - 1))] = True
+    return link_instance(links, mask, draw(st.integers(0, 2**32 - 1)))
+
+
+def per_column_reference(x, frame, links):
+    """The four link quantities computed one column at a time."""
+    terms, grad, weights, working = (np.zeros(frame.shape) for _ in range(4))
+    for j, link in enumerate(links):
+        obs = frame.mask[:, j]
+        xo, yo = x[obs, j], frame.values[obs, j]
+        terms[obs, j] = -yo * xo + link.g(xo)
+        grad[obs, j] = -yo + link.gprime(xo)
+        curv = link.gsecond(xo)
+        weights[obs, j] = 0.5 * curv
+        working[obs, j] = (yo - link.gprime(xo)) / curv
+    # the value sums each distinct link's cells in row-major order, links in
+    # order of first use
+    value = 0.0
+    for link in dict.fromkeys(links):
+        cols = [j for j, other in enumerate(links) if other == link]
+        obs = frame.mask[:, cols]
+        if obs.any():
+            value += float(np.sum(terms[:, cols][obs]))
+    return value, grad, weights, working
+
+
+class TestPerColumnReference:
+    @settings(max_examples=100, deadline=None)
+    @given(case=link_instances())
+    # one link on non-adjacent columns
+    @example(case=link_instance([G1, BERN, G1, POIS, BERN], np.ones((4, 5), bool), 1))
+    # two Gaussian links with different sigma2
+    @example(case=link_instance([G1, G2, G1, G2], np.ones((3, 4), bool), 2))
+    # a column with no observed cell
+    @example(case=link_instance(
+        [BERN, G1, BERN], np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], bool), 3))
+    # a single-link frame
+    @example(case=link_instance([POIS] * 3, np.eye(3, dtype=bool), 4))
+    def test_bit_identical(self, case):
+        x, frame, links = case
+        value, grad, weights, working = per_column_reference(x, frame, links)
+        assert np.array_equal(expfam.quasi_loglik_neg(x, frame, links), value)
+        assert np.array_equal(expfam.gradient(x, frame, links), grad)
+        assert np.array_equal(expfam.curvature_weights(x, frame, links), weights)
+        assert np.array_equal(expfam.working_responses(x, frame, links), working)
 
 
 class TestLinkSpec:
@@ -64,27 +146,6 @@ class TestLinkSpec:
         vals = link.gprime(x)
         assert np.all(np.diff(vals) >= 0)
         assert np.all(link.gsecond(x) >= 0)
-
-
-class TestCurvatureBounds:
-    @pytest.mark.parametrize(
-        "link",
-        [LinkSpec.gaussian(1.7), LinkSpec.bernoulli(), LinkSpec.poisson(0.9)],
-    )
-    def test_grid_within_bounds(self, link):
-        radius = 2.0
-        bounds = curvature_bounds(link, radius)
-        grid = np.arange(-radius, radius + 1e-9, 1e-3)
-        vals = link.gsecond(grid)
-        assert vals.min() >= bounds.sigma_min_sq - 1e-12
-        assert vals.max() <= bounds.sigma_max_sq + 1e-12
-        # bounds are attained, not just valid
-        assert vals.min() == pytest.approx(bounds.sigma_min_sq, rel=1e-6)
-        assert vals.max() == pytest.approx(bounds.sigma_max_sq, rel=1e-6)
-
-    def test_invalid_ordering_rejected(self):
-        with pytest.raises(InvalidInputError):
-            expfam.CurvatureBounds(1.0, 0.5, 1.0)
 
 
 class TestQuasiLoglik:
@@ -216,6 +277,19 @@ class TestWorkingResponses:
                 np.array([[40.0]]), frame, [LinkSpec.bernoulli()]
             )
         assert err.value.entry == (0, 0)
+
+    def test_curvature_floor_names_entry_past_the_first_link(self):
+        # Gaussian columns 0 and 2 come first; the Bernoulli cell (2, 3)
+        # underflows, with unobserved Bernoulli cells before it
+        links = [G1, BERN, G1, BERN, BERN]
+        mask = np.ones((4, 5), dtype=bool)
+        mask[1, 3] = mask[0, 4] = False
+        x, frame, _ = link_instance(links, mask, 5)
+        x[:] = 0.0
+        x[2, 3] = 40.0
+        with pytest.raises(NumericDegeneracyError) as err:
+            expfam.working_responses(x, frame, links)
+        assert err.value.entry == (2, 3)
 
 
 class TestMaskInertness:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from splr import frame as mdf
 from splr.exceptions import IngestionError, InvalidInputError, SchemaError
-from splr.frame import ColumnType, MixedDataFrame, mask_stats
+from splr.frame import ColumnType, MixedDataFrame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -164,57 +164,6 @@ class TestSchemaSidecar:
         path.write_text(json.dumps({"a": "categorical"}))
         with pytest.raises(SchemaError):
             mdf.read_schema(path)
-
-
-class TestMaskStats:
-    def test_fully_observed(self):
-        fr = MixedDataFrame(
-            ("a", "b", "c"),
-            (ColumnType.NUMERIC,) * 3,
-            np.ones((3, 3)),
-            np.ones((3, 3), dtype=bool),
-        )
-        stats = mask_stats(fr)
-        assert stats.p_hat == 1.0
-        assert stats.beta_hat == 3
-
-    def test_single_observed_entry(self):
-        mask = np.array([[True, False], [False, False]])
-        fr = MixedDataFrame(
-            ("a", "b"), (ColumnType.NUMERIC,) * 2, np.ones((2, 2)), mask
-        )
-        stats = mask_stats(fr)
-        assert stats.p_hat == 0.25
-        assert stats.beta_hat == 1
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_binomial_concentration(self, seed):
-        """Empirical rate concentrates near the sampling probability."""
-        rng = np.random.default_rng(seed)
-        mask = rng.random((150, 30)) < 0.8
-        fr = MixedDataFrame(
-            tuple(f"c{j}" for j in range(30)),
-            (ColumnType.NUMERIC,) * 30,
-            np.zeros((150, 30)),
-            mask,
-        )
-        assert abs(mask_stats(fr).p_hat - 0.8) <= 0.02
-
-    def test_counts_match_direct_recount(self, rng):
-        mask = rng.random((12, 7)) < 0.5
-        mask[0, 0] = True
-        fr = MixedDataFrame(
-            tuple(f"c{j}" for j in range(7)),
-            (ColumnType.NUMERIC,) * 7,
-            np.zeros((12, 7)),
-            mask,
-        )
-        stats = mask_stats(fr)
-        assert stats.p_hat == mask.sum() / mask.size
-        assert stats.beta_hat == max(
-            max(mask[i].sum() for i in range(12)),
-            max(mask[:, j].sum() for j in range(7)),
-        )
 
 
 def random_frame(seed):

@@ -497,3 +497,36 @@ class TestWeightedNuclear:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(InvalidInputError):
             WeightedNuclearProblem(np.zeros((2, 2)), np.ones((2, 2)), penalty=0.1)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("lasso", "weights"),
+            ("lasso", "targets"),
+            ("lasso", "anchor"),
+            ("nuclear", "weights"),
+            ("nuclear", "targets"),
+        ],
+    )
+    def test_rejected_at_construction(self, kind, name, bad):
+        shape = (2, 2)
+        arrays = {
+            "weights": np.ones(shape),
+            "targets": np.ones(shape),
+            "anchor": np.zeros(4),
+        }
+        arrays[name].flat[1] = bad
+        with pytest.raises(InvalidInputError, match=name):
+            if kind == "lasso":
+                WeightedLassoProblem(
+                    all_cells_corruptions(shape), arrays["weights"],
+                    arrays["targets"], ridge=1.0, anchor=arrays["anchor"],
+                    penalty=0.1,
+                )
+            else:
+                WeightedNuclearProblem(
+                    arrays["weights"], arrays["targets"], penalty=0.1
+                )
