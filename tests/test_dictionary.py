@@ -160,6 +160,20 @@ class TestAtomSupports:
         assert sup.run_ptr[-1] == sup.cells.size
 
 
+class TestOverlapBound:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_declared_overlap_is_attained(self, kind, rng):
+        d = make_dictionary(kind, (6, 5), rng)
+        overlap = sum(np.abs(u) for u in dense_atoms(d))
+        # the overlap the supports declare: summed |value| per cell
+        sup = d.atom_supports
+        declared = np.bincount(sup.cells, np.abs(sup.vals), d.shape[0] * d.shape[1])
+        assert overlap.max() == pytest.approx(declared.max())
+        # and every atom entry obeys the [-1, 1] box
+        for u in dense_atoms(d):
+            assert np.abs(u).max() <= 1.0
+
+
 class TestValidation:
     def test_unassigned_row_rejected(self):
         with pytest.raises(InvalidInputError):
