@@ -102,6 +102,7 @@ class StepResult:
     subproblem_solution: np.ndarray
     nuclear_after: float | None = None
     nuclear_capped: bool = False
+    nuclear_iters: int = 0
 
 
 @dataclass
@@ -118,6 +119,7 @@ class ModelFit:
     config: SolverConfig
     wall_time: float
     nuclear_cap_hits: int = 0
+    nuclear_iters: int = 0
 
     def rank(self, rel_tol: float = 1e-7) -> int:
         svals = np.linalg.svd(self.l_hat, compute_uv=False)
@@ -140,6 +142,7 @@ class ModelFit:
             "alpha_nonzeros": self.alpha_nonzeros(),
             "wall_time_s": float(self.wall_time),
             "nuclear_cap_hits": int(self.nuclear_cap_hits),
+            "nuclear_iters": int(self.nuclear_iters),
         }
 
 
@@ -242,6 +245,17 @@ def alpha_step(
     return StepResult(new_state, tau, model_decrease, direction, solution)
 
 
+def _nuclear_model(weights, working, low_rank, config) -> WeightedNuclearProblem:
+    """The L block's quadratic model as a weighted nuclear problem: weights
+    nu + w, targets (w * (Z + L) + nu * L) / (nu + w), built in place."""
+    total_weights = config.nu + weights
+    targets = np.add(working, low_rank)
+    targets *= weights
+    targets += config.nu * low_rank
+    targets /= total_weights
+    return WeightedNuclearProblem(total_weights, targets, config.lam1)
+
+
 def l_step(
     frame: MixedDataFrame, links, dictionary: Dictionary,
     state: FitState, config: SolverConfig,
@@ -252,28 +266,25 @@ def l_step(
     working = expfam.working_responses(
         state.x, frame, links, config.curvature_floor
     )
-    total_weights = config.nu + weights
-    blended = (
-        weights * (working + state.low_rank) + config.nu * state.low_rank
-    ) / total_weights
     if nuclear_current is None:
         nuclear_current = nuclear_norm(state.low_rank)
-    prob = WeightedNuclearProblem(total_weights, blended, config.lam1)
+    # the problem is garbage once the solve returns, before the line search
     solve = solve_weighted_nuclear(
-        prob,
+        _nuclear_model(weights, working, state.low_rank, config),
         config.nuclear_tol,
         config.nuclear_max_iter,
         init=state.low_rank,
         init_nuclear=nuclear_current,
         on_max_iter="return",
     )
-    solution, capped = solve.matrix, not solve.converged
+    solution, capped, iters = solve.matrix, not solve.converged, solve.n_iter
     direction = solution - state.low_rank
     dir_norm = float(np.linalg.norm(direction))
     if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(state.low_rank)):
         return StepResult(
             state, 0.0, 0.0, np.zeros_like(direction), solution,
             nuclear_after=nuclear_current, nuclear_capped=capped,
+            nuclear_iters=iters,
         )
 
     model_decrease = (
@@ -306,7 +317,7 @@ def l_step(
     nuclear_after = pen_new / config.lam1 if config.lam1 > 0 else nuclear_at(tau)
     return StepResult(
         new_state, tau, model_decrease, direction, solution,
-        nuclear_after=nuclear_after, nuclear_capped=capped,
+        nuclear_after=nuclear_after, nuclear_capped=capped, nuclear_iters=iters,
     )
 
 
@@ -336,7 +347,7 @@ def fit(
     trace = [current]
     steps = []
     converged = False
-    n_iter = cap_hits = 0
+    n_iter = cap_hits = em_iters = 0
     try:
         for _ in range(config.max_outer):
             # rebuild the cached parameter matrix to stop incremental drift
@@ -354,6 +365,8 @@ def fit(
                 state, tau_l = res.state, res.tau
                 nuc = res.nuclear_after
                 cap_hits += res.nuclear_capped
+                em_iters += res.nuclear_iters
+                del res  # free its full-size direction and EM solution now
             n_iter += 1
             new_val = (
                 state.data_fit + config.lam1 * nuc
@@ -383,6 +396,7 @@ def fit(
         config=config,
         wall_time=time.perf_counter() - start,
         nuclear_cap_hits=cap_hits,
+        nuclear_iters=em_iters,
     )
 
 

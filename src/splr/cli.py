@@ -85,7 +85,8 @@ def cmd_fit(data_path, schema_path, dict_path, lambda1, lambda2, config_path, ou
         f"fit: {'converged' if result.converged else 'iteration cap'} after "
         f"{result.n_iter} iterations, rank {result.rank()}, "
         f"{result.alpha_nonzeros()} active coefficients, "
-        f"{result.nuclear_cap_hits} capped nuclear solves"
+        f"{result.nuclear_cap_hits} capped nuclear solves, "
+        f"{result.nuclear_iters} nuclear EM iterations"
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

@@ -130,7 +130,7 @@ class GroupEffectsDictionary(Dictionary):
     def apply(self, alpha):
         alpha = self._check_alpha(alpha)
         table = alpha.reshape(self.n_groups, self.shape[1])
-        return table[self.assignment].copy()
+        return table[self.assignment]  # fancy indexing copies
 
     def adjoint(self, grad):
         grad = self._check_grad(grad)

@@ -388,6 +388,20 @@ class TestNuclearCapHits:
         assert result.nuclear_cap_hits == 0
         assert result.report()["nuclear_cap_hits"] == 0
 
+    def test_nuclear_iters_sum_the_em_solves(self, rng, monkeypatch):
+        frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
+        d = groups_dict(12, 6)
+        solves = []
+        solve = bcgd.solve_weighted_nuclear
+        monkeypatch.setattr(
+            bcgd, "solve_weighted_nuclear",
+            lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1],
+        )
+        result = fit(frame, links, d, SolverConfig(lam1=0.3, lam2=0.2))
+        assert len(solves) == result.n_iter
+        assert result.nuclear_iters == sum(s.n_iter for s in solves) > len(solves)
+        assert result.report()["nuclear_iters"] == result.nuclear_iters
+
 
 class TestLargeScale:
     def test_huge_poisson_counts_fit(self):

@@ -80,9 +80,13 @@ class TestFitCommand:
             "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
             "--config", str(cfg), "--out", str(out),
         ])
-        hits = json.loads((out / "report.json").read_text())["nuclear_cap_hits"]
-        assert hits > 0
-        assert f"{hits} capped nuclear solves" in capsys.readouterr().out
+        report = json.loads((out / "report.json").read_text())
+        hits, iters = report["nuclear_cap_hits"], report["nuclear_iters"]
+        assert hits > 0 and iters >= hits
+        assert (
+            f"{hits} capped nuclear solves, {iters} nuclear EM iterations"
+            in capsys.readouterr().out
+        )
 
     def test_unknown_config_key_exits_one(self, workspace):
         tmp, data, schema, dict_path = workspace

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svd as scipy_svd
@@ -274,6 +275,40 @@ class TestLassoRuns:
         assert d.atom_supports.runs == ((0, 2), (2, 4), (4, 5))
 
 
+SVT_CASES = [
+    ((40, 12), "normal", ("between", 3), False),
+    ((12, 40), "normal", ("between", 3), False),
+    ((20, 20), "normal", ("between", 9), False),
+    ((30, 20), [5.0, 4.0, 3.0, 2.0, 1.0], ("value", 1.5), False),
+    ((10, 6), "zero", ("value", 1.0), False),
+    ((10, 6), "zero", ("value", 0.0), False),
+    ((40, 12), "normal", ("value", 0.0), True),
+    ((40, 12), "normal", ("top", 1.5), False),
+    ((25, 15), [3.0 + 2e-9, 3.0 + 1e-9, 3.0, 1.0, 0.5], ("value", 2.0), False),
+    ((40, 12), "normal", ("top", 1e-5), True),
+    ((300, 250), "rank3", ("value", 2.0), False),
+    ((300, 250), "rank3", ("value", 0.01), True),
+]
+SVT_IDS = [
+    "tall", "wide", "square", "rank-deficient", "zero", "zero-at-zero",
+    "zero-threshold", "above-top", "near-equal", "tiny-threshold",
+    "low-rank-300x250", "low-rank-300x250-tiny",
+]
+
+
+def spy_eigh_drivers(monkeypatch):
+    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call."""
+    drivers = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        drivers.append(kwargs.get("driver"))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return drivers
+
+
 class TestSvt:
     def test_diagonal_example(self):
         a = np.diag([5.0, 3.0, 1.0])
@@ -305,33 +340,18 @@ class TestSvt:
             soft_threshold_singular_values(np.array([[np.inf]]), 1.0)
 
     @pytest.mark.parametrize(
-        "shape, spectrum, threshold, fallback",
-        [
-            ((40, 12), "normal", ("between", 3), False),
-            ((12, 40), "normal", ("between", 3), False),
-            ((20, 20), "normal", ("between", 9), False),
-            ((30, 20), [5.0, 4.0, 3.0, 2.0, 1.0], ("value", 1.5), False),
-            ((10, 6), "zero", ("value", 1.0), False),
-            ((10, 6), "zero", ("value", 0.0), False),
-            ((40, 12), "normal", ("value", 0.0), True),
-            ((40, 12), "normal", ("top", 1.5), False),
-            ((25, 15), [3.0 + 2e-9, 3.0 + 1e-9, 3.0, 1.0, 0.5], ("value", 2.0), False),
-            ((40, 12), "normal", ("top", 1e-5), True),
-            ((300, 250), "rank3", ("value", 2.0), False),
-            ((300, 250), "rank3", ("value", 0.01), True),
-        ],
-        ids=[
-            "tall", "wide", "square", "rank-deficient", "zero", "zero-at-zero",
-            "zero-threshold", "above-top", "near-equal", "tiny-threshold",
-            "low-rank-300x250", "low-rank-300x250-tiny",
-        ],
+        "shape, spectrum, threshold, fallback, hinted",
+        [case + (False,) for case in SVT_CASES] + [case + (True,) for case in SVT_CASES],
+        ids=SVT_IDS + [f"{name}-hinted" for name in SVT_IDS],
     )
     def test_matches_lapack_svt(
-        self, rng, monkeypatch, shape, spectrum, threshold, fallback
+        self, rng, monkeypatch, shape, spectrum, threshold, fallback, hinted
     ):
         """The Gram SVT (or its LAPACK fallback) equals a LAPACK SVT to 1e-12
-        relative, shrink sum and rank included; the fallback runs exactly
-        where the threshold is too small a fraction of sigma_1."""
+        relative, shrink sums and rank included; the fallback runs exactly
+        where the threshold is too small a fraction of sigma_1.  The hinted
+        cases take the restricted eigensolver (rank hint min(m1, m2) // 8,
+        size floor lifted)."""
         m1, m2 = shape
         if spectrum == "normal":
             a = rng.standard_normal(shape)
@@ -359,13 +379,51 @@ class TestSvt:
         monkeypatch.setattr(
             subsolvers, "_full_svd", lambda x: lapack_calls.append(1) or full_svd(x)
         )
-        out, shrink_sum, rank = subsolvers._svt_with_diagnostics(a, lam)
+        hint = min(shape) // 8 if hinted else None
+        monkeypatch.setattr(subsolvers, "_RESTRICTED_MIN_N", 0)
+        drivers = spy_eigh_drivers(monkeypatch)
+        out, shrink_sum, rank, shrink_sq = subsolvers._svt_with_diagnostics(
+            a, lam, rank_hint=hint
+        )
+        assert drivers == ["evr" if hinted else "evd"]
         scale = svals[0]
         assert np.abs(out - expected).max() <= 1e-12 * scale
         assert abs(shrink_sum - shrunk.sum()) <= 1e-12 * max(scale, shrunk.sum())
+        assert abs(np.sqrt(shrink_sq) - np.linalg.norm(shrunk)) <= 1e-12 * scale
         assert rank == int(np.sum(shrunk > 0))
         assert bool(lapack_calls) == fallback
-        np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
+        buffer = np.empty(shape)
+        again = subsolvers._svt_with_diagnostics(a, lam, rank_hint=hint, out=buffer)
+        assert again[0] is buffer
+        np.testing.assert_array_equal(buffer, out)
+        assert again[1:] == (shrink_sum, rank, shrink_sq)
+        if not hinted:
+            np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
+
+    @pytest.mark.parametrize(
+        "shape, hint, driver",
+        [
+            ((300, 250), None, "evd"),
+            ((300, 250), 0, "evr"),
+            ((300, 250), 31, "evr"),
+            ((300, 250), 32, "evd"),
+            ((250, 300), 31, "evr"),
+            ((300, 100), 12, "evr"),
+            ((300, 100), 13, "evd"),
+            ((300, 99), 1, "evd"),
+            ((40, 16), 0, "evd"),
+        ],
+    )
+    def test_restricted_eigensolver_dispatch(self, rng, monkeypatch, shape, hint, driver):
+        """The restricted eigensolver runs exactly where 8 * rank_hint <= n
+        and n >= 100."""
+        a = rng.standard_normal(shape)
+        drivers = spy_eigh_drivers(monkeypatch)
+        subsolvers._svt_with_diagnostics(a, 1.0, rank_hint=hint)
+        assert drivers == [driver]
+        drivers.clear()
+        soft_threshold_singular_values(a, 1.0)
+        assert drivers == ["evd"]
 
     @given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -499,6 +557,78 @@ class TestWeightedNuclear:
             WeightedNuclearProblem(np.zeros((2, 2)), np.ones((2, 2)), penalty=0.1)
 
 
+def reference_em(prob, tol, max_iter, init=None):
+    """The plain EM loop: fresh arrays each iteration, full eigendecompositions
+    (no rank hint) and the iterate's norm taken from the iterate."""
+    w_max = prob.weights.max()
+    omega = prob.weights / w_max
+    threshold = prob.penalty / (2.0 * w_max)
+    current = np.zeros(prob.targets.shape) if init is None else init.copy()
+    for n_iter in range(1, max_iter + 1):
+        blended = (1.0 - omega) * current + omega * prob.targets
+        new = soft_threshold_singular_values(blended, threshold)
+        rel_change = np.linalg.norm(new - current) / max(1.0, np.linalg.norm(new))
+        current = new
+        if rel_change <= tol:
+            break
+    return current, n_iter
+
+
+class TestEmBuffers:
+    """The EM's buffer reuse and rank hints change no answer."""
+
+    @staticmethod
+    def low_rank_problem(seed=0):
+        rng = np.random.default_rng(seed)
+        shape = (300, 250)
+        signal = 3.0 * rng.standard_normal((300, 3)) @ rng.standard_normal((3, 250))
+        targets = signal + rng.standard_normal(shape)
+        prob = WeightedNuclearProblem(rng.uniform(0.2, 2.0, shape), targets, 200.0)
+        init = signal + 0.1 * rng.standard_normal(shape)
+        return prob, init
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_matches_reference_loop(self, warm):
+        prob, init = self.low_rank_problem()
+        init = init if warm else None
+        expected, n_iter = reference_em(prob, 1e-8, 500, init)
+        res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500, init=init)
+        assert res.converged and res.n_iter == n_iter
+        assert 0 < np.linalg.matrix_rank(expected) < 250 // 8
+        assert np.linalg.norm(res.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_inputs_untouched_and_result_owned(self):
+        prob, init = self.low_rank_problem()
+        before = [a.copy() for a in (init, prob.weights, prob.targets)]
+        res = solve_weighted_nuclear(
+            prob, tol=1e-8, max_iter=500, init=init, init_nuclear=nuclear_norm(init)
+        )
+        for a, b in zip((init, prob.weights, prob.targets), before):
+            np.testing.assert_array_equal(a, b)
+            assert not np.shares_memory(res.matrix, a)
+        again = solve_weighted_nuclear(
+            prob, tol=1e-8, max_iter=500, init=init, init_nuclear=nuclear_norm(init)
+        )
+        np.testing.assert_array_equal(again.matrix, res.matrix)
+        assert (again.nuclear, again.n_iter) == (res.nuclear, res.n_iter)
+
+    def test_rank_hint_is_previous_kept_rank(self, monkeypatch):
+        prob, _ = self.low_rank_problem()
+        calls = []
+        svt = subsolvers._svt_with_diagnostics
+
+        def spy(a, lam, rank_hint=None, out=None):
+            result = svt(a, lam, rank_hint=rank_hint, out=out)
+            calls.append((rank_hint, result[2]))
+            return result
+
+        monkeypatch.setattr(subsolvers, "_svt_with_diagnostics", spy)
+        res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500)
+        assert len(calls) == res.n_iter > 1
+        hints, ranks = zip(*calls)
+        assert hints == (None,) + ranks[:-1]
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
@@ -530,3 +660,22 @@ class TestNonFiniteInputs:
                 WeightedNuclearProblem(
                     arrays["weights"], arrays["targets"], penalty=0.1
                 )
+
+    @pytest.mark.parametrize(
+        "bad_init, init_nuclear, name",
+        [
+            (np.nan, None, "init"),
+            (np.nan, 1.0, "init"),
+            (np.inf, 1.0, "init"),
+            (None, np.nan, "init_nuclear"),
+            (None, np.inf, "init_nuclear"),
+            (None, -1.0, "init_nuclear"),
+        ],
+    )
+    def test_warm_start_rejected(self, bad_init, init_nuclear, name):
+        prob = WeightedNuclearProblem(np.ones((3, 2)), np.ones((3, 2)), penalty=0.1)
+        init = np.eye(3, 2)
+        if bad_init is not None:
+            init[1, 1] = bad_init
+        with pytest.raises(InvalidInputError, match=f"^{name} "):
+            solve_weighted_nuclear(prob, init=init, init_nuclear=init_nuclear)
