@@ -67,12 +67,13 @@ class SolverConfig:
     curvature_floor: float = 1e-10
 
     def __post_init__(self):
-        if self.lam1 < 0 or self.lam2 < 0:
-            raise InvalidInputError("penalties must be >= 0")
-        if not self.nu > 0:
-            raise InvalidInputError("nu must be > 0")
-        if not self.tau_init > 0:
-            raise InvalidInputError("tau_init must be > 0")
+        for name, lam in (("lam1", self.lam1), ("lam2", self.lam2)):
+            if not 0 <= lam < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {lam}")
+        if not 0 < self.nu < np.inf:
+            raise InvalidInputError("nu must be finite and > 0")
+        if not 0 < self.tau_init < np.inf:
+            raise InvalidInputError("tau_init must be finite and > 0")
         if not 0 < self.backtrack < 1:
             raise InvalidInputError("backtrack factor must be in (0, 1)")
         if not 0 < self.slope < 1:
@@ -275,7 +276,6 @@ def l_step(
         config.nuclear_max_iter,
         init=state.low_rank,
         init_nuclear=nuclear_current,
-        on_max_iter="return",
     )
     solution, capped, iters = solve.matrix, not solve.converged, solve.n_iter
     direction = solution - state.low_rank

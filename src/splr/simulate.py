@@ -24,7 +24,7 @@ from .dictionary import (
 from .exceptions import InvalidInputError
 from .expfam import LinkSpec
 from .frame import ColumnType, MixedDataFrame
-from .subsolvers import soft_threshold_singular_values
+from .subsolvers import WeightedNuclearProblem, solve_weighted_nuclear
 
 _REDRAW_LIMIT = 20
 
@@ -246,6 +246,22 @@ def column_mean_predictions(frame: MixedDataFrame) -> np.ndarray:
     return np.tile(means, (frame.n_rows, 1))
 
 
+def _group_mean_residuals(frame: MixedDataFrame, dictionary):
+    """Per-group column means of the observed cells (0 for a group with none),
+    their broadcast field, and the observed residuals from it (0 off the mask)."""
+    if not isinstance(dictionary, GroupEffectsDictionary):
+        raise InvalidInputError("the two-step baseline needs a group dictionary")
+    mask = frame.mask
+    y = frame.y_filled
+    sums = np.zeros((dictionary.n_groups, frame.n_cols))
+    counts = np.zeros_like(sums)
+    np.add.at(sums, dictionary.assignment, y)
+    np.add.at(counts, dictionary.assignment, mask.astype(float))
+    alpha = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0).ravel()
+    main = dictionary.apply(alpha)
+    return alpha, main, np.where(mask, y - main, 0.0)
+
+
 def group_mean_svt_baseline(
     frame: MixedDataFrame,
     dictionary: GroupEffectsDictionary,
@@ -255,39 +271,24 @@ def group_mean_svt_baseline(
 ) -> BaselineFit:
     """Group means per column, then soft-impute completion of the residuals.
 
-    The data are treated numerically regardless of declared column types; all
-    predictions live on the data scale.
+    The completion is ``solve_weighted_nuclear``, the L-step's EM, with the
+    observation mask as 0/1 weights: it blends the observed residuals into
+    the iterate and soft-thresholds at ``lam / 2`` until the relative change
+    drops to ``tol`` or ``max_iter`` iterations have run.  The data are
+    treated numerically regardless of declared column types; all predictions
+    live on the data scale.
     """
-    if not isinstance(dictionary, GroupEffectsDictionary):
-        raise InvalidInputError("the two-step baseline needs a group dictionary")
-    mask = frame.mask
-    y = frame.y_filled
-    h, m2 = dictionary.n_groups, frame.n_cols
-    sums = np.zeros((h, m2))
-    counts = np.zeros((h, m2))
-    np.add.at(sums, dictionary.assignment, y)
-    np.add.at(counts, dictionary.assignment, mask.astype(float))
-    table = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    alpha = table.ravel()
-    main = dictionary.apply(alpha)
-    resid = np.where(mask, y - main, 0.0)
-
-    low = np.zeros(frame.shape)
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        blended = np.where(mask, resid, low)
-        new = soft_threshold_singular_values(blended, lam / 2.0)
-        change = np.linalg.norm(new - low) / max(1.0, np.linalg.norm(new))
-        low = new
-        if change <= tol:
-            break
-    return BaselineFit(alpha_hat=alpha, l_hat=low, x_hat=main + low, n_iter=iters)
+    alpha, main, resid = _group_mean_residuals(frame, dictionary)
+    solve = solve_weighted_nuclear(
+        WeightedNuclearProblem(frame.mask.astype(float), resid, lam), tol, max_iter
+    )
+    return BaselineFit(
+        alpha_hat=alpha, l_hat=solve.matrix, x_hat=main + solve.matrix,
+        n_iter=solve.n_iter,
+    )
 
 
 def baseline_svt_anchor(frame: MixedDataFrame, dictionary) -> float:
     """Smallest soft-impute penalty that keeps the completed residuals at 0."""
-    baseline = group_mean_svt_baseline(frame, dictionary, lam=np.inf, max_iter=1)
-    resid = np.where(
-        frame.mask, frame.y_filled - dictionary.apply(baseline.alpha_hat), 0.0
-    )
+    resid = _group_mean_residuals(frame, dictionary)[2]
     return 2.0 * float(np.linalg.svd(resid, compute_uv=False)[0])

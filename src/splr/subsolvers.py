@@ -12,12 +12,13 @@ coordinate update strictly convex regardless of the atom supports.
 
 The weighted nuclear problem
 
-    min_L  sum_ij W_ij (Z_ij - L_ij)^2 + lam1 * ||L||_*       (W_ij > 0)
+    min_L  sum_ij W_ij (Z_ij - L_ij)^2 + lam1 * ||L||_*   (W_ij >= 0, max W > 0)
 
-is solved by EM-style iterations that treat the weights, rescaled into (0,1],
+is solved by EM-style iterations that treat the weights, rescaled into [0,1],
 as observation frequencies: blend the target into the current iterate and
 soft-threshold the singular values.  Under uniform weights a single blend
-step is the exact closed-form solution.
+step is the exact closed-form solution; under 0/1 weights (an observation
+mask) the EM is plain soft-impute (Mazumder, Hastie & Tibshirani, 2010).
 
 Singular value thresholding takes one eigendecomposition of the short-side
 Gram matrix instead of an SVD, and a LAPACK SVD where the threshold is too
@@ -144,7 +145,7 @@ def soft_threshold_singular_values(a, lam: float):
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise InvalidInputError("cannot take an SVD of non-finite input")
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidInputError("threshold must be >= 0")
     return _svt_with_diagnostics(a, lam)[0]
 
@@ -178,8 +179,8 @@ class WeightedLassoProblem:
             raise InvalidInputError("weights must be nonnegative")
         if not self.ridge > 0:
             raise InvalidInputError("ridge must be strictly positive")
-        if self.penalty < 0:
-            raise InvalidInputError("penalty must be >= 0")
+        if not 0 <= self.penalty < np.inf:
+            raise InvalidInputError("penalty must be finite and >= 0")
 
 
 def weighted_lasso_objective(prob: WeightedLassoProblem, alpha) -> float:
@@ -322,10 +323,12 @@ class WeightedNuclearProblem:
         if self.weights.shape != self.targets.shape or self.weights.ndim != 2:
             raise ShapeMismatchError("weights and targets must be equal 2-d shapes")
         _check_finite(weights=self.weights, targets=self.targets)
-        if np.any(self.weights <= 0):
-            raise InvalidInputError("nuclear-problem weights must be strictly positive")
-        if self.penalty < 0:
-            raise InvalidInputError("penalty must be >= 0")
+        if np.any(self.weights < 0) or not self.weights.max(initial=0.0) > 0:
+            raise InvalidInputError(
+                "nuclear-problem weights must be >= 0 with a positive maximum"
+            )
+        if not 0 <= self.penalty < np.inf:
+            raise InvalidInputError("penalty must be finite and >= 0")
 
 
 def weighted_nuclear_objective(prob: WeightedNuclearProblem, mat, nuc=None) -> float:
@@ -354,17 +357,17 @@ def solve_weighted_nuclear(
     max_iter: int = 100,
     init: np.ndarray | None = None,
     init_nuclear: float | None = None,
-    on_max_iter: str = "raise",
 ) -> NuclearSolve:
     """EM soft-impute iterations for the weighted nuclear-norm problem.
 
-    Weights are rescaled internally into (0,1] (the penalty threshold is
-    rescaled by the same factor, so the solved problem is unchanged).  Stops
-    when the relative Frobenius change of the iterate drops to ``tol``.  With
-    ``on_max_iter="return"`` the current iterate is returned at the cap
-    instead of raising; descent up to that point is still guaranteed.
-    ``init_nuclear``, when given, is taken as the nuclear norm of ``init``
-    instead of recomputing it.
+    Weights are rescaled internally into [0,1] (the penalty threshold is
+    rescaled by the same factor, so the solved problem is unchanged); with
+    0/1 weights each iteration is a plain soft-impute step.  Stops when the
+    relative Frobenius change of the iterate drops to ``tol``; at the
+    ``max_iter`` cap the current iterate is returned with ``converged``
+    false, descent up to that point still guaranteed.  ``init_nuclear``,
+    when given, is taken as the nuclear norm of ``init`` instead of
+    recomputing it.
 
     Each iteration after the first passes the previous kept rank to the SVT
     as its rank hint, and reuses the loop's own buffers: one for the blend
@@ -373,8 +376,6 @@ def solve_weighted_nuclear(
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
-    if on_max_iter not in ("raise", "return"):
-        raise InvalidInputError("on_max_iter must be 'raise' or 'return'")
     if init is None:
         current, nuc = np.zeros(prob.targets.shape), 0.0
     else:
@@ -396,7 +397,6 @@ def solve_weighted_nuclear(
     blended, spare = np.empty(current.shape), np.empty(current.shape)
 
     obj = weighted_nuclear_objective(prob, current, nuc)
-    rel_change = np.inf
     rank = None  # the first SVT has no hint
     for n_iter in range(1, max_iter + 1):
         np.multiply(keep, current, out=blended)
@@ -414,10 +414,4 @@ def solve_weighted_nuclear(
         spare, current, nuc, obj = current, new, new_nuc, new_obj
         if rel_change <= tol:
             return NuclearSolve(current, nuc, n_iter, True)
-    if on_max_iter == "return":
-        return NuclearSolve(current, nuc, max_iter, False)
-    raise ConvergenceError(
-        f"weighted nuclear solver did not converge in {max_iter} iterations "
-        f"(last relative change {rel_change:.3e})",
-        residual=rel_change,
-    )
+    return NuclearSolve(current, nuc, max_iter, False)

@@ -215,6 +215,7 @@ def test_criterion_4_subproblem_oracles():
 
     rng = np.random.default_rng(77)
     em_worst = 0.0
+    em_converged = True
     for _ in range(5):
         z = rng.standard_normal((6, 4))
         c = float(rng.uniform(0.5, 3.0))
@@ -222,10 +223,11 @@ def test_criterion_4_subproblem_oracles():
         em = solve_weighted_nuclear(
             WeightedNuclearProblem(np.full((6, 4), c), z, penalty=lam),
             tol=1e-12, max_iter=10,
-        ).matrix
+        )
+        em_converged &= em.converged
         closed = soft_threshold_singular_values(z, lam / (2 * c))
-        em_worst = max(em_worst, float(np.abs(em - closed).max()))
-    ok_b = em_worst <= 1e-10
+        em_worst = max(em_worst, float(np.abs(em.matrix - closed).max()))
+    ok_b = em_converged and em_worst <= 1e-10
     details.append(f"(b) EM vs closed-form SVT {em_worst:.1e}")
 
     lip_worst = -np.inf

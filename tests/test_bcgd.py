@@ -431,6 +431,17 @@ class TestConfigValidation:
             SolverConfig(lam1=0.0, lam2=0.0, backtrack=1.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(lam1=0.0, lam2=0.0, theta=1.0)
+        # an infinite ridge makes the Lasso updates NaN, and an infinite first
+        # step never shrinks, so the Armijo search would not end
+        for field in ("nu", "tau_init"):
+            with pytest.raises(InvalidInputError, match=f"^{field} must be finite"):
+                SolverConfig(lam1=0.0, lam2=0.0, **{field: np.inf})
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["lam1", "lam2"])
+    def test_bad_penalty_rejected(self, name, bad):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            SolverConfig(**{"lam1": 0.1, "lam2": 0.1, name: bad})
 
 
 class TestImpute:

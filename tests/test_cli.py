@@ -57,6 +57,17 @@ class TestFitCommand:
     def test_bad_usage_exits_one(self):
         assert main(["fit", "--lambda1", "1"]) == EXIT_ERROR
 
+    def test_nan_penalty_exits_one_with_typed_message(self, workspace, capsys):
+        tmp, data, schema, dict_path = workspace
+        code = main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "nan", "--lambda2", "0.3",
+            "--out", str(tmp / "o"),
+        ])
+        assert code == EXIT_ERROR
+        assert "error: lam1 must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp / "o").exists()
+
     def test_iteration_cap_exits_two_with_report(self, workspace):
         tmp, data, schema, dict_path = workspace
         cfg = tmp / "cfg.json"

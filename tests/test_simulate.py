@@ -18,6 +18,7 @@ from splr.simulate import (
     group_mean_svt_baseline,
     simulate_instance,
 )
+from splr.subsolvers import soft_threshold_singular_values
 
 
 def small_design(**kw):
@@ -153,7 +154,55 @@ class TestErrorMetrics:
         )
 
 
+def reference_group_mean_svt(frame, dictionary, lam, tol=1e-5, max_iter=300):
+    """The comparator as its own loop: group means of the observed cells,
+    then soft-impute on the residuals -- keep the observed residuals, fill
+    the rest from the iterate, shrink singular values by lam / 2, and stop
+    once the relative change is at most ``tol``."""
+    mask = frame.mask
+    y = frame.y_filled
+    sums = np.zeros((dictionary.n_groups, frame.n_cols))
+    counts = np.zeros_like(sums)
+    np.add.at(sums, dictionary.assignment, y)
+    np.add.at(counts, dictionary.assignment, mask.astype(float))
+    alpha = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0).ravel()
+    main = dictionary.apply(alpha)
+    resid = np.where(mask, y - main, 0.0)
+    low = np.zeros(frame.shape)
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        blended = np.where(mask, resid, low)
+        new = soft_threshold_singular_values(blended, lam / 2.0)
+        change = np.linalg.norm(new - low) / max(1.0, np.linalg.norm(new))
+        low = new
+        if change <= tol:
+            break
+    return alpha, low, main + low, iters
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("layout", ["numeric", "mixed"])
+    def test_matches_reference_soft_impute(self, layout):
+        """The comparator's run through the L-step's EM is bit for bit the
+        plain soft-impute loop, iteration count included."""
+        instance = simulate_instance(SimDesign(
+            m1=150, m2=30, s=3, r=2, p_obs=0.6, col_layout=layout, box=6.0, seed=4,
+        ))
+        frame, d = instance.frame, instance.dictionary
+        anchor = baseline_svt_anchor(frame, d)
+        iters = []
+        for scale in (0.5, 0.1, 0.01):
+            base = group_mean_svt_baseline(frame, d, lam=scale * anchor)
+            alpha, low, x_hat, n_iter = reference_group_mean_svt(
+                frame, d, scale * anchor
+            )
+            np.testing.assert_array_equal(base.alpha_hat, alpha)
+            np.testing.assert_array_equal(base.l_hat, low)
+            np.testing.assert_array_equal(base.x_hat, x_hat)
+            assert base.n_iter == n_iter
+            iters.append(n_iter)
+        assert iters[0] < iters[1] < iters[2]
+
     def test_single_group_fully_observed_gives_column_means(self, rng):
         m1, m2 = 10, 4
         y = rng.standard_normal((m1, m2))

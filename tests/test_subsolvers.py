@@ -338,6 +338,9 @@ class TestSvt:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             soft_threshold_singular_values(np.array([[np.inf]]), 1.0)
+        for bad in (-1.0, np.nan):
+            with pytest.raises(InvalidInputError, match="threshold"):
+                soft_threshold_singular_values(np.eye(2), bad)
 
     @pytest.mark.parametrize(
         "shape, spectrum, threshold, fallback, hinted",
@@ -444,17 +447,19 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         c = 1.7
         prob = WeightedNuclearProblem(np.full(shape, c), z, penalty=0.9)
-        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=10).matrix
+        res = solve_weighted_nuclear(prob, tol=1e-12, max_iter=10)
+        assert res.converged
         expected = soft_threshold_singular_values(z, 0.9 / (2 * c))
-        np.testing.assert_allclose(out, expected, atol=1e-10)
+        np.testing.assert_allclose(res.matrix, expected, atol=1e-10)
 
     def test_zero_penalty_returns_targets(self, rng):
         shape = (5, 4)
         z = rng.standard_normal(shape)
         w = rng.uniform(0.5, 2.0, shape)
         prob = WeightedNuclearProblem(w, z, penalty=0.0)
-        out = solve_weighted_nuclear(prob, tol=1e-10, max_iter=500).matrix
-        np.testing.assert_allclose(out, z, atol=1e-6)
+        res = solve_weighted_nuclear(prob, tol=1e-10, max_iter=500)
+        assert res.converged
+        np.testing.assert_allclose(res.matrix, z, atol=1e-6)
 
     def test_subgradient_descent_oracle(self):
         """An independent million-step subgradient run brackets the optimum."""
@@ -464,8 +469,9 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         lam = 0.8
         prob = WeightedNuclearProblem(w, z, penalty=lam)
-        em = solve_weighted_nuclear(prob, tol=1e-13, max_iter=500).matrix
-        em_obj = weighted_nuclear_objective(prob, em)
+        em = solve_weighted_nuclear(prob, tol=1e-13, max_iter=500)
+        assert em.converged
+        em_obj = weighted_nuclear_objective(prob, em.matrix)
 
         mu = 2.0 * w.min()
         current = np.zeros(shape)
@@ -490,9 +496,7 @@ class TestWeightedNuclear:
         prob = WeightedNuclearProblem(w, z, penalty=1.2)
         prev = np.inf
         for max_iter in (1, 2, 5, 20, 200):
-            out = solve_weighted_nuclear(
-                prob, tol=1e-14, max_iter=max_iter, on_max_iter="return"
-            ).matrix
+            out = solve_weighted_nuclear(prob, tol=1e-14, max_iter=max_iter).matrix
             val = weighted_nuclear_objective(prob, out)
             assert val <= prev + 1e-10
             prev = val
@@ -503,8 +507,9 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         lam = 1.0
         prob = WeightedNuclearProblem(w, z, penalty=lam)
-        out = solve_weighted_nuclear(prob, tol=1e-12, max_iter=2000).matrix
-        resid_grad = 2.0 * w * (out - z)
+        res = solve_weighted_nuclear(prob, tol=1e-12, max_iter=2000)
+        assert res.converged
+        resid_grad = 2.0 * w * (res.matrix - z)
         opnorm = np.linalg.svd(resid_grad, compute_uv=False)[0]
         assert opnorm <= lam + 1e-6
 
@@ -515,11 +520,12 @@ class TestWeightedNuclear:
         z = rng.standard_normal(shape)
         a = solve_weighted_nuclear(
             WeightedNuclearProblem(w, z, penalty=0.7), tol=1e-12, max_iter=500
-        ).matrix
+        )
         b = solve_weighted_nuclear(
             WeightedNuclearProblem(10 * w, z, penalty=7.0), tol=1e-12, max_iter=500
-        ).matrix
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        )
+        assert a.converged and b.converged
+        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-9)
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_returned_nuclear_norm_and_iterations(self, rng, warm):
@@ -537,24 +543,42 @@ class TestWeightedNuclear:
         assert res.converged and 1 <= res.n_iter < 500
         assert res.nuclear == pytest.approx(nuclear_norm(res.matrix), rel=1e-12)
         capped = solve_weighted_nuclear(
-            prob, tol=1e-14, max_iter=2, init=init, init_nuclear=init_nuclear,
-            on_max_iter="return",
+            prob, tol=1e-14, max_iter=2, init=init, init_nuclear=init_nuclear
         )
         assert not capped.converged and capped.n_iter == 2
         assert capped.nuclear == pytest.approx(nuclear_norm(capped.matrix), rel=1e-12)
 
-    def test_cap_raises_with_diagnostic(self, rng):
+    def test_cap_returns_unconverged(self, rng):
         shape = (5, 4)
         w = rng.uniform(0.01, 2.0, shape)
         z = rng.standard_normal(shape)
         prob = WeightedNuclearProblem(w, z, penalty=0.5)
-        with pytest.raises(ConvergenceError) as err:
-            solve_weighted_nuclear(prob, tol=1e-14, max_iter=2)
-        assert err.value.residual is not None
+        res = solve_weighted_nuclear(prob, tol=1e-14, max_iter=2)
+        assert res.converged is False and res.n_iter == 2
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(InvalidInputError):
             WeightedNuclearProblem(np.zeros((2, 2)), np.ones((2, 2)), penalty=0.1)
+        with pytest.raises(InvalidInputError):
+            WeightedNuclearProblem(
+                np.array([[1.0, -0.5], [1.0, 1.0]]), np.ones((2, 2)), penalty=0.1
+            )
+
+    def test_zero_weights_allowed(self, rng):
+        """0/1 weights are an observation mask: the EM never reads the
+        targets at zero weight."""
+        mask = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0],
+                         [1.0, 0.0, 1.0]])
+        z = rng.standard_normal(mask.shape)
+        res = solve_weighted_nuclear(
+            WeightedNuclearProblem(mask, z, penalty=0.3), tol=1e-12, max_iter=2000
+        )
+        z[mask == 0] = 1e3
+        again = solve_weighted_nuclear(
+            WeightedNuclearProblem(mask, z, penalty=0.3), tol=1e-12, max_iter=2000
+        )
+        assert res.converged
+        np.testing.assert_array_equal(again.matrix, res.matrix)
 
 
 def reference_em(prob, tol, max_iter, init=None):
@@ -603,6 +627,7 @@ class TestEmBuffers:
         res = solve_weighted_nuclear(
             prob, tol=1e-8, max_iter=500, init=init, init_nuclear=nuclear_norm(init)
         )
+        assert res.converged
         for a, b in zip((init, prob.weights, prob.targets), before):
             np.testing.assert_array_equal(a, b)
             assert not np.shares_memory(res.matrix, a)
@@ -624,7 +649,7 @@ class TestEmBuffers:
 
         monkeypatch.setattr(subsolvers, "_svt_with_diagnostics", spy)
         res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500)
-        assert len(calls) == res.n_iter > 1
+        assert res.converged and len(calls) == res.n_iter > 1
         hints, ranks = zip(*calls)
         assert hints == (None,) + ranks[:-1]
 
@@ -660,6 +685,19 @@ class TestNonFiniteInputs:
                 WeightedNuclearProblem(
                     arrays["weights"], arrays["targets"], penalty=0.1
                 )
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["lasso", "nuclear"])
+    def test_bad_penalty_rejected(self, kind, bad):
+        shape = (2, 2)
+        with pytest.raises(InvalidInputError, match="^penalty must be finite"):
+            if kind == "lasso":
+                WeightedLassoProblem(
+                    all_cells_corruptions(shape), np.ones(shape), np.ones(shape),
+                    ridge=1.0, anchor=np.zeros(4), penalty=bad,
+                )
+            else:
+                WeightedNuclearProblem(np.ones(shape), np.ones(shape), penalty=bad)
 
     @pytest.mark.parametrize(
         "bad_init, init_nuclear, name",
