@@ -82,6 +82,10 @@ class SolverConfig:
             raise InvalidInputError("theta must be in [0, 1)")
         if not self.eps_f > 0 or self.max_outer < 1:
             raise InvalidInputError("eps_f must be > 0 and max_outer >= 1")
+        # a NaN stall floor would leave the line search no exit but acceptance
+        for name in ("stall_floor", "curvature_floor"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -246,15 +250,19 @@ def alpha_step(
     return StepResult(new_state, tau, model_decrease, direction, solution)
 
 
-def _nuclear_model(weights, working, low_rank, config) -> WeightedNuclearProblem:
-    """The L block's quadratic model as a weighted nuclear problem: weights
-    nu + w, targets (w * (Z + L) + nu * L) / (nu + w), built in place."""
-    total_weights = config.nu + weights
-    targets = np.add(working, low_rank)
-    targets *= weights
-    targets += config.nu * low_rank
+def _nuclear_model(weights, working, low_rank, config):
+    """The L block's quadratic model as a weighted nuclear problem, built in
+    place over ``weights`` and ``working``: weights nu + w, targets
+    (w * (Z + L) + nu * L) / (nu + w), computed as (w * Z + (nu + w) * L) /
+    (nu + w).  Returns (w * Z, the problem)."""
+    weighted_working = np.multiply(working, weights, out=working)
+    total_weights = np.add(weights, config.nu, out=weights)
+    targets = np.multiply(total_weights, low_rank)
+    targets += weighted_working
     targets /= total_weights
-    return WeightedNuclearProblem(total_weights, targets, config.lam1)
+    return weighted_working, WeightedNuclearProblem(
+        total_weights, targets, config.lam1
+    )
 
 
 def l_step(
@@ -263,15 +271,15 @@ def l_step(
     nuclear_current: float | None = None,
 ) -> StepResult:
     """One interactions update: weighted nuclear direction plus Armijo step."""
-    weights = expfam.curvature_weights(state.x, frame, links)
-    working = expfam.working_responses(
-        state.x, frame, links, config.curvature_floor
+    weighted_working, prob = _nuclear_model(
+        expfam.curvature_weights(state.x, frame, links),
+        expfam.working_responses(state.x, frame, links, config.curvature_floor),
+        state.low_rank, config,
     )
     if nuclear_current is None:
         nuclear_current = nuclear_norm(state.low_rank)
-    # the problem is garbage once the solve returns, before the line search
     solve = solve_weighted_nuclear(
-        _nuclear_model(weights, working, state.low_rank, config),
+        prob,
         config.nuclear_tol,
         config.nuclear_max_iter,
         init=state.low_rank,
@@ -287,12 +295,16 @@ def l_step(
             nuclear_iters=iters,
         )
 
+    curvature = 0.0
+    if config.theta:
+        curvature = float(np.sum((prob.weights - config.nu) * direction * direction))
     model_decrease = (
-        -2.0 * float(np.sum(weights * working * direction))
-        + config.theta * float(np.sum(weights * direction * direction))
+        -2.0 * float(np.sum(weighted_working * direction))
+        + config.theta * curvature
         + config.nu * dir_norm**2
         + config.lam1 * (solve.nuclear - nuclear_current)
     )
+    del weighted_working, prob  # full-size, and the line search needs neither
     if model_decrease >= 0.0:
         raise InternalConsistencyError(
             f"L-step predicted decrease {model_decrease:.3e} is not negative "

@@ -28,6 +28,11 @@ class AtomSupports(NamedTuple):
     pairwise disjoint.  Run r holds atoms ``runs[r][0]:runs[r][1]`` and
     entries ``run_ptr[r]:run_ptr[r + 1]``; inside a run the entries may come
     in any order (the built-in structures list them in cell order).
+
+    ``cells`` and ``owner`` are int32 where every cell and atom index fits
+    (see ``_index_dtype``), and unit-valued structures store ``vals`` as one
+    1.0 broadcast to every entry (read-only, zero stride), so the cache of a
+    group dictionary costs 8 bytes per cell, not 24.
     """
 
     cells: np.ndarray    # flat cell index i * m2 + j of each entry
@@ -37,10 +42,16 @@ class AtomSupports(NamedTuple):
     run_ptr: np.ndarray  # entry offsets of the runs
 
 
+def _index_dtype(shape, n_atoms):
+    """int32 where every flat cell index and atom index fits, else intp."""
+    fits = max(shape[0] * shape[1], n_atoms) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.intp
+
+
 def _one_run(cells, owner, n_atoms) -> AtomSupports:
     """Supports of unit-valued atoms that are pairwise disjoint."""
     return AtomSupports(
-        cells, np.ones(cells.size), owner, ((0, n_atoms),),
+        cells, np.broadcast_to(1.0, cells.size), owner, ((0, n_atoms),),
         np.array([0, cells.size], dtype=np.intp),
     )
 
@@ -140,8 +151,9 @@ class GroupEffectsDictionary(Dictionary):
 
     def _atom_supports(self):
         m1, m2 = self.shape
-        owner = (self.assignment.astype(np.intp)[:, None] * m2 + np.arange(m2)).ravel()
-        return _one_run(np.arange(m1 * m2), owner, self.n_atoms)
+        dtype = _index_dtype(self.shape, self.n_atoms)
+        owner = self.assignment.astype(dtype)[:, None] * m2 + np.arange(m2, dtype=dtype)
+        return _one_run(np.arange(m1 * m2, dtype=dtype), owner.ravel(), self.n_atoms)
 
     def to_descriptor(self):
         return {"type": "groups", "assignment": self.assignment.tolist()}
@@ -166,10 +178,10 @@ class RowColumnDictionary(Dictionary):
     def _atom_supports(self):
         # the row atoms, then the column atoms: every cell once in each run
         m1, m2 = self.shape
-        cells = np.arange(m1 * m2)
+        cells = np.arange(m1 * m2, dtype=_index_dtype(self.shape, self.n_atoms))
         return AtomSupports(
             np.concatenate([cells, cells]),
-            np.ones(2 * cells.size),
+            np.broadcast_to(1.0, 2 * cells.size),
             np.concatenate([cells // m2, m1 + cells % m2]),
             ((0, m1), (m1, m1 + m2)),
             np.array([0, cells.size, 2 * cells.size], dtype=np.intp),
@@ -213,7 +225,9 @@ class CorruptionsDictionary(Dictionary):
 
     def _atom_supports(self):
         n = self.n_atoms
-        return _one_run(self._rows * self.shape[1] + self._cols, np.arange(n), n)
+        dtype = _index_dtype(self.shape, n)
+        cells = (self._rows * self.shape[1] + self._cols).astype(dtype)
+        return _one_run(cells, np.arange(n, dtype=dtype), n)
 
     def to_descriptor(self):
         return {"type": "corruptions", "cells": [list(c) for c in self.cells]}
@@ -277,10 +291,11 @@ class CustomDictionary(Dictionary):
                 starts.append(k)
             last_run[c] = len(starts) - 1
         bounds = starts + [self.n_atoms]
+        dtype = _index_dtype(self.shape, self.n_atoms)
         return AtomSupports(
-            np.concatenate(cells),
+            np.concatenate(cells).astype(dtype),
             np.concatenate([vals for _, _, vals in self._atoms]),
-            np.repeat(np.arange(self.n_atoms), sizes),
+            np.repeat(np.arange(self.n_atoms, dtype=dtype), sizes),
             tuple(zip(bounds[:-1], bounds[1:])),
             np.cumsum([0] + sizes)[bounds],
         )

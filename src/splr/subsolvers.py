@@ -15,10 +15,18 @@ The weighted nuclear problem
     min_L  sum_ij W_ij (Z_ij - L_ij)^2 + lam1 * ||L||_*   (W_ij >= 0, max W > 0)
 
 is solved by EM-style iterations that treat the weights, rescaled into [0,1],
-as observation frequencies: blend the target into the current iterate and
-soft-threshold the singular values.  Under uniform weights a single blend
-step is the exact closed-form solution; under 0/1 weights (an observation
-mask) the EM is plain soft-impute (Mazumder, Hastie & Tibshirani, 2010).
+as observation frequencies: blend the target into a point and soft-threshold
+the singular values.  The plain step blends into the current iterate; under
+uniform weights one such step is the exact closed-form solution, and under
+0/1 weights (an observation mask) it is a soft-impute step (Mazumder, Hastie
+& Tibshirani, 2010).  The steps after the first blend into the FISTA
+extrapolation of the last two iterates (Beck & Teboulle, 2009); a step that
+raises the objective is dropped, the momentum resets, and the plain step
+from the current iterate follows (adaptive restart, O'Donoghue & Candes,
+2015), so the accepted iterates descend.  The momentum also resets after an
+accepted step that moved against the EM's step from its point (the same
+paper's gradient test), which spares most dropped steps.  Besides the
+problem's weights and targets the EM holds three full-size buffers.
 
 Singular value thresholding takes one eigendecomposition of the short-side
 Gram matrix instead of an SVD, and a LAPACK SVD where the threshold is too
@@ -30,6 +38,7 @@ above the threshold are computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,9 +114,10 @@ def _svt_with_diagnostics(a, lam, rank_hint=None, out=None):
     the rule could not fire below n = 2e7 anyway.
 
     The output is written into ``out`` when given (C-contiguous, the input's
-    shape, not the input itself).  Returns (thresholded matrix, shrink sum =
-    its nuclear norm, kept rank, sum of squared shrunk values = its squared
-    Frobenius norm).
+    shape).  ``out`` may be the input itself: every product that reads the
+    input is formed before the output is written.  Returns (thresholded
+    matrix, shrink sum = its nuclear norm, kept rank, sum of squared shrunk
+    values = its squared Frobenius norm).
     """
     tall = a.shape[0] >= a.shape[1]
     gram = a.T @ a if tall else a @ a.T
@@ -183,11 +193,19 @@ class WeightedLassoProblem:
             raise InvalidInputError("penalty must be finite and >= 0")
 
 
+def _lasso_residual(prob: WeightedLassoProblem, alpha) -> np.ndarray:
+    """targets - apply(alpha) as one fresh full-size array."""
+    resid = prob.dictionary.apply(alpha)
+    return np.subtract(prob.targets, resid, out=resid)
+
+
 def weighted_lasso_objective(prob: WeightedLassoProblem, alpha) -> float:
     alpha = np.asarray(alpha, dtype=float)
-    resid = prob.targets - prob.dictionary.apply(alpha)
+    sq = _lasso_residual(prob, alpha)
+    np.square(sq, out=sq)
+    sq *= prob.weights
     return float(
-        np.sum(prob.weights * resid * resid)
+        np.sum(sq)
         + prob.ridge * np.sum((alpha - prob.anchor) ** 2)
         + prob.penalty * np.abs(alpha).sum()
     )
@@ -196,11 +214,12 @@ def weighted_lasso_objective(prob: WeightedLassoProblem, alpha) -> float:
 def weighted_lasso_kkt_residual(prob: WeightedLassoProblem, alpha) -> float:
     """Largest minimum-norm subgradient entry of the objective at ``alpha``."""
     alpha = np.asarray(alpha, dtype=float)
-    sup = prob.dictionary.atom_supports
-    resid = (prob.targets - prob.dictionary.apply(alpha)).ravel()
-    wv = prob.weights.ravel()[sup.cells] * sup.vals
-    dots = np.bincount(sup.owner, wv * resid[sup.cells], minlength=alpha.size)
-    grad = -2.0 * dots + 2.0 * prob.ridge * (alpha - prob.anchor)
+    weighted_resid = _lasso_residual(prob, alpha)
+    weighted_resid *= prob.weights
+    grad = (
+        -2.0 * prob.dictionary.adjoint(weighted_resid)
+        + 2.0 * prob.ridge * (alpha - prob.anchor)
+    )
     lam = prob.penalty
     kkt = np.where(
         alpha != 0.0,
@@ -268,7 +287,7 @@ def solve_weighted_lasso(
     kkt_tol = tol * max(1.0, float(grad_scale.max(initial=0.0)))
 
     alpha = prob.anchor.astype(float).copy()
-    resid = (prob.targets - prob.dictionary.apply(alpha)).ravel()
+    resid = _lasso_residual(prob, alpha).ravel()
     obj = weighted_lasso_objective(prob, alpha)
 
     def cd_pass(blocks):
@@ -331,11 +350,17 @@ class WeightedNuclearProblem:
             raise InvalidInputError("penalty must be finite and >= 0")
 
 
-def weighted_nuclear_objective(prob: WeightedNuclearProblem, mat, nuc=None) -> float:
-    """Objective at ``mat``; ``nuc``, when known, stands for its nuclear norm."""
+def weighted_nuclear_objective(
+    prob: WeightedNuclearProblem, mat, nuc=None, out=None
+) -> float:
+    """Objective at ``mat``; ``nuc``, when known, stands for its nuclear norm.
+
+    The one full-size temporary is ``out`` when given (overwritten), else a
+    fresh array.
+    """
     if nuc is None:
         nuc = nuclear_norm(mat)
-    sq = np.subtract(prob.targets, mat)  # the one full-size temporary
+    sq = np.subtract(prob.targets, mat, out=out)
     np.square(sq, out=sq)
     sq *= prob.weights
     return float(np.sum(sq) + prob.penalty * nuc)
@@ -358,21 +383,43 @@ def solve_weighted_nuclear(
     init: np.ndarray | None = None,
     init_nuclear: float | None = None,
 ) -> NuclearSolve:
-    """EM soft-impute iterations for the weighted nuclear-norm problem.
+    """Accelerated EM soft-impute iterations for the weighted nuclear-norm problem.
 
-    Weights are rescaled internally into [0,1] (the penalty threshold is
-    rescaled by the same factor, so the solved problem is unchanged); with
-    0/1 weights each iteration is a plain soft-impute step.  Stops when the
-    relative Frobenius change of the iterate drops to ``tol``; at the
-    ``max_iter`` cap the current iterate is returned with ``converged``
-    false, descent up to that point still guaranteed.  ``init_nuclear``,
-    when given, is taken as the nuclear norm of ``init`` instead of
-    recomputing it.
+    Weights are rescaled internally into omega = w / max w in [0,1] (the
+    penalty threshold is rescaled by the same factor, so the solved problem
+    is unchanged).  An iteration blends the targets into a point y and
+    soft-thresholds: x_new = SVT(y + omega o (targets - y)).  The point is
+    the FISTA extrapolation y = x_k + beta_k (x_k - x_{k-1}), with
+    beta_k = (t_k - 1) / t_{k+1} and t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2
+    (Beck & Teboulle, 2009).  At t_k = 1, beta_k = 0 and y = x_k: the plain
+    EM step, a soft-impute step under 0/1 weights.  t starts at 1, so the
+    first step has no momentum and under uniform weights it is the exact
+    solution.
 
-    Each iteration after the first passes the previous kept rank to the SVT
-    as its rank hint, and reuses the loop's own buffers: one for the blend
-    (then for the change), and two the SVT output alternates between.  The
-    copy of ``init`` is one of those two, so no caller array is written.
+    Adaptive restart (O'Donoghue & Candes, 2015): an extrapolated step whose
+    objective is above the current one is dropped, t goes back to 1, and the
+    next iteration takes the plain step from x_k, which cannot raise the
+    objective.  So every accepted iterate descends; a plain step that raises
+    the objective beyond rounding raises ``InternalConsistencyError``.  Each
+    SVT counts as an iteration, a dropped one included, so ``n_iter`` and
+    ``max_iter`` count SVTs.  The same paper's gradient test saves most of
+    those dropped SVTs: an accepted extrapolated step with
+    (y - x_new) . (x_new - x_k) > 0 moved against the EM's own step from y,
+    so t goes back to 1 there too and the next step is plain.
+
+    Stops when the relative Frobenius change of the accepted iterate drops
+    to ``tol``; at the ``max_iter`` cap the current iterate is returned with
+    ``converged`` false, descent up to that point still guaranteed.
+    ``init_nuclear``, when given, is taken as the nuclear norm of ``init``
+    instead of recomputing it.
+
+    Each SVT after the first is told the previous SVT's kept rank as its
+    rank hint.  The loop holds three full-size buffers and allocates no
+    other full-size array: the iterate x_k; ``previous``, which holds
+    x_{k-1}, becomes the point y in place, then holds y - x_new, the
+    objective's temporary and the change; and ``spare``, which holds the
+    blend until the SVT overwrites it with x_new.  The copy of ``init`` is
+    the first iterate, so no caller array is written.
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
@@ -390,28 +437,44 @@ def solve_weighted_nuclear(
         else:
             raise InvalidInputError("init_nuclear must be finite and >= 0")
     w_max = float(prob.weights.max())
-    omega = prob.weights / w_max
-    observed = omega * prob.targets
-    keep = np.subtract(1.0, omega, out=omega)  # omega's last use
     threshold = prob.penalty / (2.0 * w_max)
-    blended, spare = np.empty(current.shape), np.empty(current.shape)
+    previous, spare = np.empty(current.shape), np.empty(current.shape)
 
-    obj = weighted_nuclear_objective(prob, current, nuc)
+    obj = weighted_nuclear_objective(prob, current, nuc, out=spare)
     rank = None  # the first SVT has no hint
+    t = 1.0
     for n_iter in range(1, max_iter + 1):
-        np.multiply(keep, current, out=blended)
-        blended += observed
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        point = current
+        if beta > 0:  # x_{k-1} becomes the point, in place
+            point = np.subtract(current, previous, out=previous)
+            point *= beta
+            point += current
+        blended = np.subtract(prob.targets, point, out=spare)
+        blended *= prob.weights
+        blended /= w_max
+        blended += point
         new, new_nuc, rank, new_sq = _svt_with_diagnostics(
-            blended, threshold, rank_hint=rank, out=spare
+            blended, threshold, rank_hint=rank, out=blended
         )
-        new_obj = weighted_nuclear_objective(prob, new, new_nuc)
+        uphill = False
+        if beta > 0:  # (y - x_new) . (x_new - x_k) > 0
+            gap = np.subtract(point, new, out=previous)
+            uphill = float(np.vdot(gap, new)) > float(np.vdot(gap, current))
+        new_obj = weighted_nuclear_objective(prob, new, new_nuc, out=previous)
+        if beta > 0 and new_obj > obj:
+            t = 1.0  # restart: the next iteration steps plainly from x_k
+            continue
         if new_obj > obj + 1e-9 * max(1.0, abs(obj)):
             raise InternalConsistencyError(
                 f"EM step increased the objective: {obj} -> {new_obj}"
             )
-        change = np.subtract(new, current, out=blended)
+        change = np.subtract(new, current, out=previous)
         rel_change = float(np.linalg.norm(change) / max(1.0, np.sqrt(new_sq)))
-        spare, current, nuc, obj = current, new, new_nuc, new_obj
+        previous, current, spare = current, new, previous
+        nuc, obj = new_nuc, new_obj
+        t = 1.0 if uphill else t_next
         if rel_change <= tol:
             return NuclearSolve(current, nuc, n_iter, True)
     return NuclearSolve(current, nuc, max_iter, False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from splr import subsolvers
 from splr.dictionary import (
     CorruptionsDictionary,
     CustomDictionary,
@@ -155,6 +156,57 @@ def gaussian_prox_gradient_reference(frame, links, dictionary, lam1, lam2,
         if val < best:
             best = val
     return best
+
+
+def reference_accelerated_em(prob, tol, max_iter, init=None, rank_hints=True):
+    """The accelerated EM as a plain loop with fresh arrays each iteration.
+
+    FISTA from t = 1: each step blends the targets into the point
+    y = x_k + beta (x_k - x_{k-1}), beta = (t - 1) / t_next, as
+    y + (targets - y) o w / max w and soft-thresholds at
+    penalty / (2 max w).  An extrapolated step whose objective is above the
+    current one is dropped and t reset to 1, so the next step is the plain
+    one from x_k; an accepted one with (y - x_new) . (x_new - x_k) > 0 also
+    resets t to 1.  Each SVT counts as an iteration and, with ``rank_hints``,
+    is told the previous SVT's kept rank.  The arithmetic is the solver's,
+    so with hints the two agree bit for bit; without, every SVT is a full
+    eigendecomposition.
+    Returns (iterate, nuclear norm, iterations, converged).
+    """
+    weights, targets = prob.weights, prob.targets
+    w_max = float(weights.max())
+    threshold = prob.penalty / (2.0 * w_max)
+
+    def objective(x, nuc):
+        return float(np.sum((targets - x) ** 2 * weights) + prob.penalty * nuc)
+
+    if init is None:
+        current, nuc = np.zeros(targets.shape), 0.0
+    else:
+        current = np.array(init, dtype=float)
+        nuc = float(np.linalg.svd(current, compute_uv=False).sum())
+    previous = current
+    obj = objective(current, nuc)
+    t, rank = 1.0, None
+    for n_iter in range(1, max_iter + 1):
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        point = current + (current - previous) * beta if beta > 0 else current
+        blended = (targets - point) * weights / w_max + point
+        new, new_nuc, rank, new_sq = subsolvers._svt_with_diagnostics(
+            blended, threshold, rank_hint=rank if rank_hints else None
+        )
+        uphill = beta > 0 and np.vdot(point - new, new) > np.vdot(point - new, current)
+        new_obj = objective(new, new_nuc)
+        if beta > 0 and new_obj > obj:
+            t = 1.0
+            continue
+        rel_change = np.linalg.norm(new - current) / max(1.0, np.sqrt(new_sq))
+        previous, current, nuc, obj = current, new, new_nuc, new_obj
+        t = 1.0 if uphill else t_next
+        if rel_change <= tol:
+            return current, nuc, n_iter, True
+    return current, nuc, max_iter, False
 
 
 @pytest.fixture

@@ -436,6 +436,11 @@ class TestConfigValidation:
         for field in ("nu", "tau_init"):
             with pytest.raises(InvalidInputError, match=f"^{field} must be finite"):
                 SolverConfig(lam1=0.0, lam2=0.0, **{field: np.inf})
+        # a NaN stall floor never ends a stalled Armijo search
+        for field in ("stall_floor", "curvature_floor"):
+            for bad in (np.nan, np.inf, 0.0, -1e-12):
+                with pytest.raises(InvalidInputError, match=f"^{field} must be finite"):
+                    SolverConfig(lam1=0.0, lam2=0.0, **{field: bad})
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["lam1", "lam2"])

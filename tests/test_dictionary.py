@@ -160,6 +160,35 @@ class TestAtomSupports:
         assert sup.run_ptr[-1] == sup.cells.size
 
 
+def owned_bytes(arrays):
+    """Bytes of the distinct buffers behind ``arrays``: a view counts as the
+    array it was taken from, once."""
+    roots = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+class TestSupportCacheSize:
+    @pytest.mark.parametrize(
+        "d",
+        [
+            GroupEffectsDictionary(equal_group_assignment(400, 7), (400, 300)),
+            RowColumnDictionary((400, 300)),
+            CorruptionsDictionary([(i, (7 * i) % 300) for i in range(400)], (400, 300)),
+        ],
+        ids=["groups", "rowcol", "corruptions"],
+    )
+    def test_unit_atoms_cost_eight_bytes_per_entry(self, d):
+        """int32 cells and owners, and one shared 1.0 for the values."""
+        sup = d.atom_supports
+        arrays = (sup.cells, sup.vals, sup.owner, sup.run_ptr)
+        assert owned_bytes(arrays) <= 8 * sup.cells.size + 64
+        assert np.all(sup.vals == 1.0) and sup.vals.size == sup.cells.size
+
+
 class TestOverlapBound:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_declared_overlap_is_attained(self, kind, rng):

@@ -18,7 +18,9 @@ from splr.simulate import (
     group_mean_svt_baseline,
     simulate_instance,
 )
-from splr.subsolvers import soft_threshold_singular_values
+from splr.subsolvers import WeightedNuclearProblem, soft_threshold_singular_values
+
+from conftest import reference_accelerated_em
 
 
 def small_design(**kw):
@@ -154,11 +156,9 @@ class TestErrorMetrics:
         )
 
 
-def reference_group_mean_svt(frame, dictionary, lam, tol=1e-5, max_iter=300):
-    """The comparator as its own loop: group means of the observed cells,
-    then soft-impute on the residuals -- keep the observed residuals, fill
-    the rest from the iterate, shrink singular values by lam / 2, and stop
-    once the relative change is at most ``tol``."""
+def reference_group_means(frame, dictionary):
+    """Group means of the observed cells, their field, and the observed
+    residuals from it (0 off the mask)."""
     mask = frame.mask
     y = frame.y_filled
     sums = np.zeros((dictionary.n_groups, frame.n_cols))
@@ -167,7 +167,16 @@ def reference_group_mean_svt(frame, dictionary, lam, tol=1e-5, max_iter=300):
     np.add.at(counts, dictionary.assignment, mask.astype(float))
     alpha = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0).ravel()
     main = dictionary.apply(alpha)
-    resid = np.where(mask, y - main, 0.0)
+    return alpha, main, np.where(mask, y - main, 0.0)
+
+
+def reference_group_mean_svt(frame, dictionary, lam, tol=1e-5, max_iter=300):
+    """The comparator as its own loop: group means of the observed cells,
+    then soft-impute on the residuals -- keep the observed residuals, fill
+    the rest from the iterate, shrink singular values by lam / 2, and stop
+    once the relative change is at most ``tol``."""
+    mask = frame.mask
+    alpha, main, resid = reference_group_means(frame, dictionary)
     low = np.zeros(frame.shape)
     iters = 0
     for iters in range(1, max_iter + 1):
@@ -183,23 +192,38 @@ def reference_group_mean_svt(frame, dictionary, lam, tol=1e-5, max_iter=300):
 class TestBaselines:
     @pytest.mark.parametrize("layout", ["numeric", "mixed"])
     def test_matches_reference_soft_impute(self, layout):
-        """The comparator's run through the L-step's EM is bit for bit the
-        plain soft-impute loop, iteration count included."""
+        """The comparator's completion is bit for bit the accelerated EM loop
+        on the mask as weights, iteration count included, and it never loses
+        to the plain soft-impute loop: no higher objective, no more
+        iterations."""
         instance = simulate_instance(SimDesign(
             m1=150, m2=30, s=3, r=2, p_obs=0.6, col_layout=layout, box=6.0, seed=4,
         ))
         frame, d = instance.frame, instance.dictionary
+        mask = frame.mask.astype(float)
+        alpha, main, resid = reference_group_means(frame, d)
         anchor = baseline_svt_anchor(frame, d)
         iters = []
         for scale in (0.5, 0.1, 0.01):
-            base = group_mean_svt_baseline(frame, d, lam=scale * anchor)
-            alpha, low, x_hat, n_iter = reference_group_mean_svt(
-                frame, d, scale * anchor
+            lam = scale * anchor
+            base = group_mean_svt_baseline(frame, d, lam=lam)
+            expected, _, n_iter, _ = reference_accelerated_em(
+                WeightedNuclearProblem(mask, resid, lam), 1e-5, 300
             )
             np.testing.assert_array_equal(base.alpha_hat, alpha)
-            np.testing.assert_array_equal(base.l_hat, low)
-            np.testing.assert_array_equal(base.x_hat, x_hat)
+            np.testing.assert_array_equal(base.l_hat, expected)
+            np.testing.assert_array_equal(base.x_hat, main + expected)
             assert base.n_iter == n_iter
+
+            _, plain_low, _, plain_iter = reference_group_mean_svt(frame, d, lam)
+
+            def objective(low):
+                nuc = np.linalg.svd(low, compute_uv=False).sum()
+                return float(np.sum(mask * (resid - low) ** 2) + lam * nuc)
+
+            bound = objective(plain_low)
+            assert objective(base.l_hat) <= bound + 1e-12 * max(1.0, abs(bound))
+            assert n_iter <= plain_iter
             iters.append(n_iter)
         assert iters[0] < iters[1] < iters[2]
 

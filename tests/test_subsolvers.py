@@ -28,6 +28,8 @@ from splr.subsolvers import (
     weighted_nuclear_objective,
 )
 
+from conftest import reference_accelerated_em
+
 
 def all_cells_corruptions(shape):
     m1, m2 = shape
@@ -598,8 +600,43 @@ def reference_em(prob, tol, max_iter, init=None):
     return current, n_iter
 
 
+def plain_blend(prob, x):
+    """The EM's blend at ``x``, in the solver's arithmetic: the input of a
+    plain (unextrapolated) step from ``x``."""
+    return (prob.targets - x) * prob.weights / prob.weights.max() + x
+
+
+def traced_em(prob, monkeypatch, init=None, **kwargs):
+    """Run the EM with its SVTs and objective evaluations recorded.
+
+    Returns the solve, the initial objective, and one record per SVT:
+    (rank hint, kept rank, input, output, the solver's objective there).
+    """
+    svt = subsolvers._svt_with_diagnostics
+    objective = subsolvers.weighted_nuclear_objective
+    calls, values = [], []
+
+    def spy_svt(a, lam, rank_hint=None, out=None):
+        blend = a.copy()  # the SVT may write its output over its input
+        result = svt(a, lam, rank_hint=rank_hint, out=out)
+        calls.append((rank_hint, result[2], blend, result[0].copy()))
+        return result
+
+    def spy_objective(*args, **kw):
+        values.append(objective(*args, **kw))
+        return values[-1]
+
+    monkeypatch.setattr(subsolvers, "_svt_with_diagnostics", spy_svt)
+    monkeypatch.setattr(subsolvers, "weighted_nuclear_objective", spy_objective)
+    res = solve_weighted_nuclear(prob, init=init, **kwargs)
+    monkeypatch.undo()
+    assert len(values) == len(calls) + 1
+    return res, values[0], [c + (v,) for c, v in zip(calls, values[1:])]
+
+
 class TestEmBuffers:
-    """The EM's buffer reuse and rank hints change no answer."""
+    """The EM's buffer reuse changes no answer, its rank hints change only
+    rounding, and its acceleration never loses to plain EM."""
 
     @staticmethod
     def low_rank_problem(seed=0):
@@ -613,13 +650,29 @@ class TestEmBuffers:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_reference_loop(self, warm):
+        """Bit for bit the accelerated loop on fresh arrays.  Without rank
+        hints the eigensolver differs in rounding, which can flip a restart,
+        so that loop is held to the objective only.  Against plain EM: no
+        higher objective and no more iterations."""
         prob, init = self.low_rank_problem()
         init = init if warm else None
-        expected, n_iter = reference_em(prob, 1e-8, 500, init)
+        expected, nuc, n_iter, converged = reference_accelerated_em(
+            prob, 1e-8, 500, init
+        )
         res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500, init=init)
-        assert res.converged and res.n_iter == n_iter
+        assert converged and res.converged and res.n_iter == n_iter
         assert 0 < np.linalg.matrix_rank(expected) < 250 // 8
-        assert np.linalg.norm(res.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+        np.testing.assert_array_equal(res.matrix, expected)
+        assert res.nuclear == nuc
+
+        value = weighted_nuclear_objective(prob, res.matrix)
+        unhinted = reference_accelerated_em(prob, 1e-8, 500, init, rank_hints=False)
+        other = weighted_nuclear_objective(prob, unhinted[0])
+        assert unhinted[3] and abs(value - other) <= 1e-12 * max(1.0, abs(other))
+        plain, plain_iter = reference_em(prob, 1e-8, 500, init)
+        bound = weighted_nuclear_objective(prob, plain)
+        assert value <= bound + 1e-12 * max(1.0, abs(bound))
+        assert res.n_iter <= plain_iter
 
     def test_inputs_untouched_and_result_owned(self):
         prob, init = self.low_rank_problem()
@@ -637,21 +690,47 @@ class TestEmBuffers:
         np.testing.assert_array_equal(again.matrix, res.matrix)
         assert (again.nuclear, again.n_iter) == (res.nuclear, res.n_iter)
 
+    def test_accepted_objectives_descend_and_restarts_fire(self, monkeypatch):
+        """Steps are classified by their input: a plain step's is the blend
+        at the last accepted iterate.  An extrapolated step above the
+        current objective is dropped and the next step is plain from the
+        same iterate; every other step is accepted."""
+        prob, init = self.low_rank_problem()
+        res, value, steps = traced_em(
+            prob, monkeypatch, init=init, tol=1e-8, max_iter=500
+        )
+        accepted, values, restarts, must_be_plain = init, [value], 0, True
+        for _, _, blend, out, value in steps:
+            plain = np.array_equal(blend, plain_blend(prob, accepted))
+            assert plain or not must_be_plain
+            if not plain and value > values[-1]:
+                restarts += 1
+                must_be_plain = True
+                continue
+            accepted, must_be_plain = out, False
+            values.append(value)
+        assert restarts >= 1 and len(steps) == res.n_iter
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        np.testing.assert_array_equal(res.matrix, accepted)
+        fresh = float(np.sum(prob.weights * (prob.targets - accepted) ** 2))
+        fresh += prob.penalty * nuclear_norm(accepted)
+        assert values[-1] == pytest.approx(fresh, rel=1e-12)
+
     def test_rank_hint_is_previous_kept_rank(self, monkeypatch):
+        """Every SVT, a restart's plain step included, is told the kept rank
+        of the SVT before it."""
         prob, _ = self.low_rank_problem()
-        calls = []
-        svt = subsolvers._svt_with_diagnostics
-
-        def spy(a, lam, rank_hint=None, out=None):
-            result = svt(a, lam, rank_hint=rank_hint, out=out)
-            calls.append((rank_hint, result[2]))
-            return result
-
-        monkeypatch.setattr(subsolvers, "_svt_with_diagnostics", spy)
-        res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500)
-        assert res.converged and len(calls) == res.n_iter > 1
-        hints, ranks = zip(*calls)
-        assert hints == (None,) + ranks[:-1]
+        res, _, steps = traced_em(prob, monkeypatch, tol=1e-8, max_iter=500)
+        assert res.converged and len(steps) == res.n_iter > 1
+        hints, ranks = [s[0] for s in steps], [s[1] for s in steps]
+        assert hints == [None] + ranks[:-1]
+        # a restart: a later step whose input is the blend at the iterate
+        # the step before it started from
+        restarted = [
+            k for k in range(2, len(steps))
+            if np.array_equal(steps[k][2], plain_blend(prob, steps[k - 2][3]))
+        ]
+        assert restarted
 
 
 class TestNonFiniteInputs:
