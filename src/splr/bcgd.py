@@ -9,10 +9,12 @@ Each outer iteration builds a strictly convex local quadratic model of the
 data-fitting term (curvature weights w and working responses Z at the current
 parameter matrix, plus a ridge ``nu``), solves the model's alpha block as a
 weighted Lasso and its L block as a weighted nuclear-norm problem, and then
-backtracks each block's step length until the true objective beats the
-``slope`` fraction of the model-predicted decrease.  The predicted decrease
-is strictly negative whenever the block direction is nonzero, which makes the
-objective trace nonincreasing.
+backtracks each block's step length by one Armijo rule (Tseng & Yun, 2009)
+until the true objective beats the ``slope`` fraction of the model-predicted
+decrease.  That decrease is strictly negative for a nonzero direction, which
+makes the objective trace nonincreasing.  A non-negative one within the
+rounding error of its terms is a zero step; a larger one raises
+``InternalConsistencyError``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exceptions import (
 )
 from .frame import ColumnType, MixedDataFrame
 from .subsolvers import (
+    _GRAM_RTOL,
     WeightedLassoProblem,
     WeightedNuclearProblem,
     nuclear_norm,
@@ -42,6 +45,7 @@ from .subsolvers import (
 
 # directions with no numerically meaningful movement are treated as zero
 _ZERO_DIRECTION_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,6 @@ class SolverConfig:
     tau_init: float = 1.0
     backtrack: float = 0.5
     slope: float = 0.1
-    theta: float = 0.0
     eps_f: float = 1e-6
     max_outer: int = 200
     lasso_tol: float = 1e-8
@@ -78,8 +81,6 @@ class SolverConfig:
             raise InvalidInputError("backtrack factor must be in (0, 1)")
         if not 0 < self.slope < 1:
             raise InvalidInputError("slope fraction must be in (0, 1)")
-        if not 0 <= self.theta < 1:
-            raise InvalidInputError("theta must be in [0, 1)")
         if not self.eps_f > 0 or self.max_outer < 1:
             raise InvalidInputError("eps_f must be > 0 and max_outer >= 1")
         # a NaN stall floor would leave the line search no exit but acceptance
@@ -181,26 +182,62 @@ def _trial_data_fit(x, frame, links) -> float:
         return np.inf
 
 
-def _backtrack(frame, links, state, direction_field, penalty_trial, base,
-               model_decrease, config):
-    """Shrink tau until data_fit + penalty beats the sloped model decrease.
+def _armijo(frame, links, state, config, name, block, direction, field,
+            lin, lin_abs, lam, pen_now, pen_at, norm_rtol):
+    """The Armijo rule of both block steps (Tseng & Yun, 2009).
 
-    ``penalty_trial(tau)`` returns the active block's penalty term at the
-    trial point.  Returns (tau, trial_fit, trial_penalty).
+    Moving ``block`` by ``direction`` (``field`` in parameter space) has the
+    predicted decrease -2 lin + nu ||direction||^2 + lam (P(1) - P(0)), with
+    lin = sum(w * Z * field), ``lin_abs`` the absolute sum of its terms, and
+    P(t) = ``pen_at(t)`` the penalty norm at block + t * direction (P(0) =
+    ``pen_now``).  tau shrinks from ``tau_init`` until the objective beats
+    ``slope`` * tau times that.  Returns None for a zero step, else (tau, the
+    predicted decrease, the trial point x + tau * field, its data fit, P(tau)).
+
+    A zero step is a direction below ``_ZERO_DIRECTION_RTOL`` of the block, or
+    a non-negative decrease within rounding: (N + 4) eps of the absolute sums
+    (N = ``field.size``; a sum of N terms in any order errs by at most (N - 1)
+    eps of theirs) plus lam * ``norm_rtol`` * (P(0) + P(1)).  A decrease above
+    that raises ``InternalConsistencyError``.
     """
+    dir_norm = float(np.linalg.norm(direction))
+    if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block)):
+        return None
+    pen_full = pen_at(1.0)
+    model_decrease = (
+        -2.0 * lin + config.nu * dir_norm**2 + lam * (pen_full - pen_now)
+    )
+    if model_decrease >= 0.0:
+        bound = (
+            _EPS * (field.size + 4) * (2.0 * lin_abs + config.nu * dir_norm**2)
+            + lam * norm_rtol * (pen_now + pen_full)
+        )
+        if model_decrease <= bound:
+            return None
+        raise InternalConsistencyError(
+            f"{name} predicted decrease {model_decrease:.3e} is not negative "
+            f"for a nonzero direction (rounding bound {bound:.1e})"
+        )
+
+    base = state.data_fit + lam * pen_now
     tau = config.tau_init
     while True:
-        x_trial = state.x + tau * direction_field
+        x_trial = state.x + tau * field
         f_trial = _trial_data_fit(x_trial, frame, links)
-        pen_trial = penalty_trial(tau)
-        if f_trial + pen_trial <= base + tau * config.slope * model_decrease:
-            return tau, f_trial, pen_trial
+        pen_trial = pen_at(tau)
+        if f_trial + lam * pen_trial <= base + tau * config.slope * model_decrease:
+            return tau, model_decrease, x_trial, f_trial, pen_trial
         tau *= config.backtrack
         if tau < config.stall_floor:
             raise LineSearchStallError(
                 f"line search stalled below {config.stall_floor:g} "
                 f"(predicted decrease {model_decrease:.3e})"
             )
+
+
+def _sums(terms):
+    """The sum of ``terms`` and their absolute sum, written over them."""
+    return float(np.sum(terms)), float(np.abs(terms, out=terms).sum())
 
 
 def alpha_step(
@@ -217,36 +254,21 @@ def alpha_step(
         dictionary, weights, targets, config.nu, state.alpha, config.lam2
     )
     solution = solve_weighted_lasso(prob, config.lasso_tol, config.lasso_max_iter)
+    del targets, prob
     direction = solution - state.alpha
-    dir_norm = float(np.linalg.norm(direction))
-    if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(state.alpha)):
-        return StepResult(state, 0.0, 0.0, np.zeros_like(direction), solution)
-
     field_d = dictionary.apply(direction)
-    l1_now = float(np.abs(state.alpha).sum())
-    l1_full = float(np.abs(state.alpha + direction).sum())
-    model_decrease = (
-        -2.0 * float(np.sum(weights * working * field_d))
-        + config.theta * float(np.sum(weights * field_d * field_d))
-        + config.nu * dir_norm**2
-        + config.lam2 * (l1_full - l1_now)
+    lin, lin_abs = _sums(weights * working * field_d)
+    del weights, working  # full-size, and the line search needs neither
+    step = _armijo(
+        frame, links, state, config, "alpha-step", state.alpha, direction,
+        field_d, lin, lin_abs, config.lam2, float(np.abs(state.alpha).sum()),
+        lambda t: float(np.abs(state.alpha + t * direction).sum()),
+        _EPS * (direction.size + 4),
     )
-    if model_decrease >= 0.0:
-        raise InternalConsistencyError(
-            f"alpha-step predicted decrease {model_decrease:.3e} is not negative "
-            "for a nonzero direction"
-        )
-
-    base = state.data_fit + config.lam2 * l1_now
-    tau, f_new, _ = _backtrack(
-        frame, links, state, field_d,
-        lambda t: config.lam2 * float(np.abs(state.alpha + t * direction).sum()),
-        base, model_decrease, config,
-    )
-    new_state = FitState(
-        state.alpha + tau * direction, state.low_rank,
-        state.x + tau * field_d, f_new,
-    )
+    if step is None:
+        return StepResult(state, 0.0, 0.0, np.zeros_like(direction), solution)
+    tau, model_decrease, x_new, f_new, _ = step
+    new_state = FitState(state.alpha + tau * direction, state.low_rank, x_new, f_new)
     return StepResult(new_state, tau, model_decrease, direction, solution)
 
 
@@ -285,31 +307,11 @@ def l_step(
         init=state.low_rank,
         init_nuclear=nuclear_current,
     )
+    del prob
     solution, capped, iters = solve.matrix, not solve.converged, solve.n_iter
     direction = solution - state.low_rank
-    dir_norm = float(np.linalg.norm(direction))
-    if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(state.low_rank)):
-        return StepResult(
-            state, 0.0, 0.0, np.zeros_like(direction), solution,
-            nuclear_after=nuclear_current, nuclear_capped=capped,
-            nuclear_iters=iters,
-        )
-
-    curvature = 0.0
-    if config.theta:
-        curvature = float(np.sum((prob.weights - config.nu) * direction * direction))
-    model_decrease = (
-        -2.0 * float(np.sum(weighted_working * direction))
-        + config.theta * curvature
-        + config.nu * dir_norm**2
-        + config.lam1 * (solve.nuclear - nuclear_current)
-    )
-    del weighted_working, prob  # full-size, and the line search needs neither
-    if model_decrease >= 0.0:
-        raise InternalConsistencyError(
-            f"L-step predicted decrease {model_decrease:.3e} is not negative "
-            "for a nonzero direction"
-        )
+    lin, lin_abs = _sums(weighted_working * direction)
+    del weighted_working  # full-size, and the line search does not need it
 
     def nuclear_at(t):
         # the full step lands on the EM solution, whose norm the EM returned
@@ -317,20 +319,19 @@ def l_step(
             return solve.nuclear
         return nuclear_norm(state.low_rank + t * direction)
 
-    base = state.data_fit + config.lam1 * nuclear_current
-    tau, f_new, pen_new = _backtrack(
-        frame, links, state, direction, lambda t: config.lam1 * nuclear_at(t),
-        base, model_decrease, config,
+    # the nuclear norms come from the SVT or a LAPACK SVD, both good to _GRAM_RTOL
+    step = _armijo(
+        frame, links, state, config, "L-step", state.low_rank, direction,
+        direction, lin, lin_abs, config.lam1, nuclear_current, nuclear_at,
+        _GRAM_RTOL,
     )
-    new_state = FitState(
-        state.alpha, state.low_rank + tau * direction,
-        state.x + tau * direction, f_new,
-    )
-    nuclear_after = pen_new / config.lam1 if config.lam1 > 0 else nuclear_at(tau)
-    return StepResult(
-        new_state, tau, model_decrease, direction, solution,
-        nuclear_after=nuclear_after, nuclear_capped=capped, nuclear_iters=iters,
-    )
+    if step is None:
+        return StepResult(state, 0.0, 0.0, np.zeros_like(direction), solution,
+                          nuclear_current, capped, iters)
+    tau, model_decrease, x_new, f_new, nuclear_after = step
+    new_state = FitState(state.alpha, state.low_rank + tau * direction, x_new, f_new)
+    return StepResult(new_state, tau, model_decrease, direction, solution,
+                      nuclear_after, capped, iters)
 
 
 def fit(

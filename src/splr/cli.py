@@ -75,18 +75,19 @@ def cmd_fit(data_path, schema_path, dict_path, lambda1, lambda2, config_path, ou
     data, links, dictionary = _load_inputs(data_path, schema_path, dict_path)
     config = _solver_config(lambda1, lambda2, config_path)
     result = bcgd.fit(data, links, dictionary, config)
+    report = result.report()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(result.report(), fh, indent=2)
+        json.dump(report, fh, indent=2)
     _write_matrix_csv(out / "alpha.csv", result.alpha_hat.reshape(-1, 1), ["alpha"])
     _write_matrix_csv(out / "l.csv", result.l_hat, list(data.column_names))
     click.echo(
-        f"fit: {'converged' if result.converged else 'iteration cap'} after "
-        f"{result.n_iter} iterations, rank {result.rank()}, "
-        f"{result.alpha_nonzeros()} active coefficients, "
-        f"{result.nuclear_cap_hits} capped nuclear solves, "
-        f"{result.nuclear_iters} nuclear EM iterations"
+        f"fit: {'converged' if report['converged'] else 'iteration cap'} after "
+        f"{report['n_iter']} iterations, rank {report['rank']}, "
+        f"{report['alpha_nonzeros']} active coefficients, "
+        f"{report['nuclear_cap_hits']} capped nuclear solves, "
+        f"{report['nuclear_iters']} nuclear EM iterations"
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

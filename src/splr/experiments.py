@@ -26,8 +26,7 @@ import numpy as np
 
 from . import expfam
 from .bcgd import SolverConfig, fit
-from .frame import MixedDataFrame
-from .selection import default_grid, holdout_select
+from .selection import default_grid, draw_holdout, holdout_select
 from .simulate import (
     SimDesign,
     baseline_svt_anchor,
@@ -64,34 +63,31 @@ def _replicate_seeds(base_seed: int, n: int) -> list:
     return [int(s) for s in rng.integers(0, 2**62, size=n)]
 
 
-def _fit_ours_holdout(instance, grid_shape=(4, 4), decades=2.5,
-                      holdout_frac=0.2, config=STUDY_CONFIG):
+# both methods tune on the same share of held-out cells, over penalties
+# spanning the same decades below their anchors
+HOLDOUT_FRAC = 0.2
+HOLDOUT_DECADES = 2.5
+
+
+def _fit_ours_holdout(instance):
     grid = default_grid(
         instance.frame, instance.links, instance.dictionary,
-        n1=grid_shape[0], n2=grid_shape[1], decades=decades,
+        n1=4, n2=4, decades=HOLDOUT_DECADES,
     )
-    lam1, lam2, result = holdout_select(
+    return holdout_select(
         instance.frame, instance.links, instance.dictionary, grid,
-        holdout_frac=holdout_frac, seed=instance.design.seed, config=config,
+        holdout_frac=HOLDOUT_FRAC, seed=instance.design.seed, config=STUDY_CONFIG,
     )
-    return lam1, lam2, result
 
 
-def _fit_baseline_holdout(instance, n_lams=8, decades=2.5, holdout_frac=0.2,
-                          seed_shift=1):
-    """Tune the two-step comparator's completion penalty on held-out cells."""
+def _fit_baseline_holdout(instance):
+    """Tune the two-step comparator's completion penalty on held-out cells,
+    drawn from the seed after the one our holdout uses."""
     frame = instance.frame
-    rng = np.random.default_rng(instance.design.seed + seed_shift)
-    coords = np.argwhere(frame.mask)
-    n_hold = max(1, int(round(holdout_frac * len(coords))))
-    held = coords[rng.choice(len(coords), size=n_hold, replace=False)]
-    train_mask = frame.mask.copy()
-    train_mask[held[:, 0], held[:, 1]] = False
-    train = MixedDataFrame(
-        frame.column_names, frame.column_types, frame.values, train_mask
-    )
+    rng = np.random.default_rng(instance.design.seed + 1)
+    train, held = draw_holdout(frame, HOLDOUT_FRAC, rng)
     anchor = baseline_svt_anchor(train, instance.dictionary)
-    lams = np.geomspace(anchor, anchor * 10.0 ** (-decades), n_lams)
+    lams = np.geomspace(anchor, anchor * 10.0 ** (-HOLDOUT_DECADES), 8)
     y_true = frame.values[held[:, 0], held[:, 1]]
     best_lam, best_err = lams[0], np.inf
     for lam in lams:
@@ -104,17 +100,17 @@ def _fit_baseline_holdout(instance, n_lams=8, decades=2.5, holdout_frac=0.2,
     return best_lam, group_mean_svt_baseline(frame, instance.dictionary, best_lam)
 
 
-def simulated_noise_anchors(instance, n_draws: int = 3, seed: int = 0):
+def simulated_noise_anchors(instance, seed: int = 0):
     """Penalty scales from noise gradients simulated on the realized mask.
 
-    Draws Gaussian noise with each column's known variance, masks it, and
-    reads off the median operator norm (nuclear-penalty scale) and the median
-    largest atom inner product (l1-penalty scale).
+    Draws three Gaussian noise matrices with each column's known variance,
+    masks them, and reads off the median operator norm (nuclear-penalty
+    scale) and the median largest atom inner product (l1-penalty scale).
     """
     rng = np.random.default_rng(seed)
     sig = np.sqrt([link.sigma2 for link in instance.links])
     ops, sups = [], []
-    for _ in range(n_draws):
+    for _ in range(3):
         eps = rng.standard_normal(instance.frame.shape) * sig[None, :]
         eps = np.where(instance.frame.mask, eps, 0.0)
         ops.append(np.linalg.svd(eps, compute_uv=False)[0])
@@ -417,8 +413,7 @@ def _loglog_slope(sizes, medians):
     return float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
 
 
-def summarize_rate_rows(rows, m_list, p_obs, include_half_p, seed,
-                        n_boot: int = 200) -> dict:
+def summarize_rate_rows(rows, m_list, p_obs, include_half_p, seed) -> dict:
     def errs(m, p, key):
         return np.array(
             [
@@ -436,7 +431,7 @@ def summarize_rate_rows(rows, m_list, p_obs, include_half_p, seed,
     boot_rng = np.random.default_rng(seed + 12345)
     boot_slopes = []
     samples = [errs(m, p_obs, "err_low_rank") for m in m_list]
-    for _ in range(n_boot):
+    for _ in range(200):
         meds = [
             np.median(boot_rng.choice(vals, size=len(vals), replace=True))
             for vals in samples

@@ -34,13 +34,6 @@ class ColumnType(Enum):
     BINARY = "binary"
     COUNT = "count"
 
-    def default_link(self) -> LinkSpec:
-        if self is ColumnType.NUMERIC:
-            return LinkSpec.gaussian()
-        if self is ColumnType.BINARY:
-            return LinkSpec.bernoulli()
-        return LinkSpec.poisson()
-
 
 @dataclass(frozen=True)
 class MixedDataFrame:

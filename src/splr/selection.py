@@ -11,6 +11,9 @@ refits along the grid from the largest penalties down with warm starts, and
 scores held-out entries by squared error of the predicted mean on the data's
 natural scale (one combined number across column types, with a per-type
 breakdown alongside).
+
+One holdout draw, ``draw_holdout``, serves both ``holdout_select`` and the
+studies' tuning of the two-step comparator.
 """
 
 from __future__ import annotations
@@ -142,6 +145,17 @@ class CVReport:
                 writer.writerow([c.lambda1, c.lambda2, c.fold, c.error])
 
 
+def _hold_out(frame: MixedDataFrame, coords) -> MixedDataFrame | None:
+    """``frame`` without the cells at ``coords``; None if a column empties."""
+    train_mask = frame.mask.copy()
+    train_mask[coords[:, 0], coords[:, 1]] = False
+    if not train_mask.any(axis=0).all():
+        return None
+    return MixedDataFrame(
+        frame.column_names, frame.column_types, frame.values, train_mask
+    )
+
+
 def _draw_folds(frame: MixedDataFrame, n_folds: int, rng) -> list:
     """Partition observed entries; every fold's complement must keep every
     column observed.  Redraws a limited number of times, then fails."""
@@ -151,14 +165,7 @@ def _draw_folds(frame: MixedDataFrame, n_folds: int, rng) -> list:
     for _ in range(_REDRAW_LIMIT):
         order = rng.permutation(len(coords))
         folds = [coords[order[f::n_folds]] for f in range(n_folds)]
-        ok = True
-        for fold in folds:
-            train_mask = frame.mask.copy()
-            train_mask[fold[:, 0], fold[:, 1]] = False
-            if np.any(train_mask.sum(axis=0) == 0):
-                ok = False
-                break
-        if ok:
+        if all(_hold_out(frame, fold) is not None for fold in folds):
             return folds
     raise InvalidInputError(
         f"could not draw {n_folds} folds leaving every column observed "
@@ -166,12 +173,20 @@ def _draw_folds(frame: MixedDataFrame, n_folds: int, rng) -> list:
     )
 
 
-def _mask_out(frame: MixedDataFrame, coords) -> MixedDataFrame:
-    train_mask = frame.mask.copy()
-    train_mask[coords[:, 0], coords[:, 1]] = False
-    return MixedDataFrame(
-        frame.column_names, frame.column_types, frame.values, train_mask
-    )
+def draw_holdout(frame: MixedDataFrame, holdout_frac: float, rng):
+    """Hold out round(holdout_frac * n_observed) observed cells, at least one,
+    redrawing a limited number of times while a column empties.  Returns
+    (training frame, held cell coordinates)."""
+    if not 0 < holdout_frac < 1:
+        raise InvalidInputError("holdout_frac must be in (0, 1)")
+    coords = np.argwhere(frame.mask)
+    n_hold = max(1, int(round(holdout_frac * len(coords))))
+    for _ in range(_REDRAW_LIMIT):
+        held = coords[rng.choice(len(coords), size=n_hold, replace=False)]
+        train = _hold_out(frame, held)
+        if train is not None:
+            return train, held
+    raise InvalidInputError("holdout draw kept emptying a column")
 
 
 def path_errors(
@@ -250,7 +265,7 @@ def cross_validate(
     cells = []
     per_type_all = {}
     for f, fold_coords in enumerate(folds):
-        train = _mask_out(frame, fold_coords)
+        train = _hold_out(frame, fold_coords)
         y_true = frame.values[fold_coords[:, 0], fold_coords[:, 1]]
         errors, per_type, _ = path_errors(
             train, links, dictionary, grid, config,
@@ -302,41 +317,24 @@ def holdout_select(
     holdout_frac: float = 0.2,
     seed: int = 0,
     config: bcgd.SolverConfig | None = None,
-    refit: bool = True,
 ):
     """Single random holdout of observed entries; returns (lam1, lam2, fit).
 
     Cheaper than full cross-validation; used by the study harnesses.  The
-    returned fit is refit on all observed entries at the chosen pair (warm
-    started from the path solution) unless ``refit`` is disabled.
+    cells come from ``draw_holdout``, and the returned fit is refit on all
+    observed entries at the chosen pair (warm started from the path
+    solution).
     """
-    if not 0 < holdout_frac < 1:
-        raise InvalidInputError("holdout_frac must be in (0, 1)")
     if config is None:
         config = bcgd.SolverConfig(lam1=0.0, lam2=0.0)
-    rng = np.random.default_rng(seed)
-    coords = np.argwhere(frame.mask)
-    n_hold = max(1, int(round(holdout_frac * len(coords))))
-    for attempt in range(_REDRAW_LIMIT):
-        held = coords[rng.choice(len(coords), size=n_hold, replace=False)]
-        train_mask = frame.mask.copy()
-        train_mask[held[:, 0], held[:, 1]] = False
-        if not np.any(train_mask.sum(axis=0) == 0):
-            break
-    else:
-        raise InvalidInputError("holdout draw kept emptying a column")
-    train = _mask_out(frame, held)
+    train, held = draw_holdout(frame, holdout_frac, np.random.default_rng(seed))
     y_true = frame.values[held[:, 0], held[:, 1]]
     errors, _, fits = path_errors(
         train, links, dictionary, grid, config, held, y_true, frame.column_types
     )
     i1, i2 = choose_best(grid, errors)
     lam1, lam2 = float(grid.lambda1[i1]), float(grid.lambda2[i2])
-    best_fit = fits[(i1, i2)]
-    if refit:
-        cfg = replace(config, lam1=lam1, lam2=lam2)
-        best_fit = bcgd.fit(
-            frame, links, dictionary, cfg,
-            init=(best_fit.alpha_hat, best_fit.l_hat),
-        )
-    return lam1, lam2, best_fit
+    best = fits[(i1, i2)]
+    refit = bcgd.fit(frame, links, dictionary, replace(config, lam1=lam1, lam2=lam2),
+                     init=(best.alpha_hat, best.l_hat))
+    return lam1, lam2, refit

@@ -95,6 +95,30 @@ def make_dictionary(kind, shape, rng=None):
     raise ValueError(kind)
 
 
+def lone_cell_frame(m1=10, m2=3):
+    """Fully observed but for column 0, which has only its first cell."""
+    mask = np.ones((m1, m2), dtype=bool)
+    mask[1:, 0] = False
+    values = np.arange(m1 * m2, dtype=float).reshape(m1, m2)
+    return MixedDataFrame(
+        tuple(f"c{j}" for j in range(m2)), (ColumnType.NUMERIC,) * m2,
+        values, mask,
+    )
+
+
+def seed_whose_first_draw_empties(frame, holdout_frac, shift=0):
+    """Smallest seed whose first plain draw (from seed + shift) holds out
+    column 0's only observed cell."""
+    coords = np.argwhere(frame.mask)
+    n_hold = max(1, int(round(holdout_frac * len(coords))))
+    for seed in range(1000):
+        rng = np.random.default_rng(seed + shift)
+        held = coords[rng.choice(len(coords), size=n_hold, replace=False)]
+        if np.any(held[:, 1] == 0):
+            return seed
+    raise AssertionError("no seed empties column 0")
+
+
 def _soft(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 

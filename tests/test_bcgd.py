@@ -11,10 +11,16 @@ from splr.dictionary import (
     RowColumnDictionary,
     equal_group_assignment,
 )
-from splr.exceptions import ConvergenceError, FitAbortedError, InvalidInputError
+from splr.exceptions import (
+    ConvergenceError,
+    FitAbortedError,
+    InternalConsistencyError,
+    InvalidInputError,
+)
 from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
 from conftest import gaussian_prox_gradient_reference, make_mixed_instance
+from test_acceptance import _random_solver_instance
 
 
 def gaussian_frame(rng, m1, m2, p_obs=1.0, sigma2=1.0):
@@ -119,19 +125,18 @@ class TestAlphaStep:
         assert lhs <= rhs + 1e-12
 
     def test_model_decrease_bound(self, rng):
-        """Predicted decrease is at most -(1 - theta) * nu * ||d||^2."""
-        for theta in (0.0, 0.5):
-            frame, links, _ = (*make_mixed_instance(3, m1=8, m2=6, p_obs=0.8),)
-            d = groups_dict(8, 6, h=4)
-            config = SolverConfig(lam1=0.2, lam2=0.1, theta=theta)
-            state = bcgd.make_state(
-                frame, links, d, np.zeros(d.n_atoms), np.zeros((8, 6))
-            )
-            res = alpha_step(frame, links, d, state, config)
-            dir_sq = float(np.sum(res.direction**2))
-            assert dir_sq > 0
-            bound = -(1.0 - theta) * config.nu * dir_sq
-            assert res.model_decrease <= bound + 1e-12
+        """Predicted decrease is at most -nu * ||d||^2."""
+        frame, links, _ = make_mixed_instance(3, m1=8, m2=6, p_obs=0.8)
+        d = groups_dict(8, 6, h=4)
+        config = SolverConfig(lam1=0.2, lam2=0.1)
+        state = bcgd.make_state(
+            frame, links, d, np.zeros(d.n_atoms), np.zeros((8, 6))
+        )
+        res = alpha_step(frame, links, d, state, config)
+        dir_sq = float(np.sum(res.direction**2))
+        assert dir_sq > 0
+        bound = -config.nu * dir_sq
+        assert res.model_decrease <= bound + 1e-12
 
 
 class TestLStep:
@@ -343,7 +348,7 @@ class TestFit:
 
     def test_model_decrease_bound_along_trajectory(self, rng):
         """At every iteration, each block's predicted decrease is at most
-        -(1 - theta) * nu * ||direction||^2 (tight inner tolerances)."""
+        -nu * ||direction||^2 (tight inner tolerances)."""
         frame, links, _ = make_mixed_instance(55, m1=10, m2=6, p_obs=0.75)
         d = groups_dict(10, 6)
         config = SolverConfig(
@@ -352,7 +357,7 @@ class TestFit:
         )
         state = bcgd.make_state(frame, links, d, np.zeros(d.n_atoms),
                                 np.zeros((10, 6)))
-        bound_scale = (1.0 - config.theta) * config.nu
+        bound_scale = config.nu
         for _ in range(10):
             res_a = alpha_step(frame, links, d, state, config)
             if res_a.tau > 0:
@@ -365,6 +370,63 @@ class TestFit:
                     res_l.direction**2
                 ) + 1e-12
             state = res_l.state
+
+
+class TestRoundingZeroStep:
+    @pytest.mark.parametrize("seed", [291, 312])
+    def test_precision_floor_seeds_finish(self, seed):
+        """On these instances of criterion 1's generator the alpha step's
+        predicted decrease reaches +2e-15 at outer iteration 9, a rounding
+        difference of two l1 sums near 7 and 11: a zero step, not an abort."""
+        frame, links, dictionary, lam1, lam2 = _random_solver_instance(seed)
+        config = SolverConfig(lam1=lam1, lam2=lam2, max_outer=15, eps_f=1e-14)
+        result = fit(frame, links, dictionary, config)
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+        assert result.step_trace[-1][0] == 0.0
+
+    @pytest.mark.parametrize("step", [alpha_step, l_step])
+    def test_injected_decrease_above_bound_raises(self, rng, monkeypatch, step):
+        frame, links = gaussian_frame(rng, 8, 5)
+        d = groups_dict(8, 5)
+        config = SolverConfig(lam1=0.3, lam2=0.1)
+        state = bcgd.make_state(frame, links, d, rng.standard_normal(d.n_atoms),
+                                0.1 * rng.standard_normal((8, 5)))
+        sums = bcgd._sums
+        # a linear term of -1e3 predicts a rise of about 2e3
+        monkeypatch.setattr(bcgd, "_sums", lambda terms: (-1e3, sums(terms)[1]))
+        with pytest.raises(InternalConsistencyError, match="is not negative"):
+            step(frame, links, d, state, config)
+
+    @pytest.mark.parametrize("norm_rtol", [0.0, 1e-12])
+    def test_rounding_bound_separates_zero_step_from_error(self, rng, norm_rtol):
+        """A non-negative decrease at half the bound is a zero step; at twice
+        the bound it raises.  The bound is (N + 4) eps times the absolute
+        sums, plus lam * norm_rtol * (P(0) + P(1))."""
+        frame, links = gaussian_frame(rng, 6, 4)
+        d = groups_dict(6, 4)
+        config = SolverConfig(lam1=0.0, lam2=0.5)
+        state = bcgd.make_state(frame, links, d, np.ones(d.n_atoms),
+                                np.zeros((6, 4)))
+        direction = np.full(d.n_atoms, 1e-3)
+        field = d.apply(direction)
+        lin_abs, pen_now, pen_full, lam = 1.0, 10.0, 10.0 + 1e-13, 0.5
+        nu_d2 = config.nu * float(np.sum(direction**2))
+        bound = (
+            np.finfo(float).eps * (field.size + 4) * (2.0 * lin_abs + nu_d2)
+            + lam * norm_rtol * (pen_now + pen_full)
+        )
+
+        def armijo(decrease):
+            lin = (nu_d2 + lam * (pen_full - pen_now) - decrease) / 2.0
+            return bcgd._armijo(
+                frame, links, state, config, "alpha-step", state.alpha,
+                direction, field, lin, lin_abs, lam, pen_now,
+                lambda t: pen_full if t == 1.0 else pen_now, norm_rtol,
+            )
+
+        assert armijo(0.5 * bound) is None
+        with pytest.raises(InternalConsistencyError, match="rounding bound"):
+            armijo(2.0 * bound)
 
 
 class TestNuclearCapHits:
@@ -429,8 +491,6 @@ class TestConfigValidation:
             SolverConfig(lam1=0.0, lam2=0.0, nu=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(lam1=0.0, lam2=0.0, backtrack=1.0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(lam1=0.0, lam2=0.0, theta=1.0)
         # an infinite ridge makes the Lasso updates NaN, and an infinite first
         # step never shrinks, so the Armijo search would not end
         for field in ("nu", "tau_init"):

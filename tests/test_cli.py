@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from splr.bcgd import ModelFit
 from splr.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from splr.frame import read_csv
 
@@ -270,3 +271,41 @@ class TestReproduceCommand:
         assert (out_a / "rate_study.csv").read_text() == (
             out_b / "rate_study.csv"
         ).read_text()
+
+
+class TestFitSummary:
+    def test_theta_config_key_exits_one(self, workspace, capsys):
+        tmp, data, schema, dict_path = workspace
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps({"theta": 0.5}))
+        code = main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "1", "--lambda2", "1",
+            "--config", str(cfg), "--out", str(tmp / "o"),
+        ])
+        assert code == EXIT_ERROR
+        assert "unknown solver config keys: ['theta']" in capsys.readouterr().err
+
+    def test_rank_computed_once(self, workspace, capsys, monkeypatch):
+        tmp, data, schema, dict_path = workspace
+        calls = []
+        rank = ModelFit.rank
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return rank(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelFit, "rank", counted)
+        out = tmp / "fit_once"
+        code = main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
+            "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert (
+            f"rank {report['rank']}, {report['alpha_nonzeros']} active coefficients"
+            in capsys.readouterr().out
+        )

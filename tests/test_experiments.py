@@ -1,12 +1,14 @@
 """Study harnesses: shapes, provenance, reproducibility, scaling contrast."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from splr import expfam
+from splr import experiments, expfam
 from splr.bcgd import fit
+from splr.dictionary import GroupEffectsDictionary, equal_group_assignment
 from splr.experiments import (
     STUDY_CONFIG,
     config_hash,
@@ -25,6 +27,8 @@ from splr.simulate import (
     group_mean_svt_baseline,
     simulate_instance,
 )
+
+from conftest import lone_cell_frame, seed_whose_first_draw_empties
 
 
 class TestEstimationStudy:
@@ -89,6 +93,32 @@ class TestImputationStudy:
         assert np.array_equal(inst_a.y_full, inst_b.y_full)
         # higher missingness = subset of the lower-missingness mask
         assert np.all(inst_b.frame.mask <= inst_a.frame.mask)
+
+
+class TestComparatorHoldout:
+    def test_a_draw_that_empties_a_column_is_redrawn(self, monkeypatch):
+        frame = lone_cell_frame()
+        seed = seed_whose_first_draw_empties(
+            frame, experiments.HOLDOUT_FRAC, shift=1
+        )
+        instance = SimpleNamespace(
+            frame=frame,
+            dictionary=GroupEffectsDictionary(
+                equal_group_assignment(10, 2), frame.shape
+            ),
+            design=SimpleNamespace(seed=seed),
+        )
+        trained_on = []
+
+        def anchor(train, dictionary):
+            trained_on.append(train)
+            return baseline_svt_anchor(train, dictionary)
+
+        monkeypatch.setattr(experiments, "baseline_svt_anchor", anchor)
+        lam, base = experiments._fit_baseline_holdout(instance)
+        (train,) = trained_on
+        assert train.mask.any(axis=0).all()
+        assert np.isfinite(lam) and np.isfinite(base.x_hat).all()
 
 
 class TestRateStudy:

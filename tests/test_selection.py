@@ -18,7 +18,11 @@ from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
 from splr.selection import LambdaGrid, cross_validate, default_grid, holdout_select
 
-from conftest import make_mixed_instance
+from conftest import (
+    lone_cell_frame,
+    make_mixed_instance,
+    seed_whose_first_draw_empties,
+)
 
 
 def gaussian_frame(rng, m1, m2, p_obs=1.0):
@@ -235,6 +239,59 @@ class TestHoldoutSelect:
         b = holdout_select(frame, links, d, grid, seed=7)
         assert (a[0], a[1]) == (b[0], b[1])
         np.testing.assert_array_equal(a[2].x_hat, b[2].x_hat)
+
+
+def reference_holdout_draw(frame, holdout_frac, rng):
+    """Reference: round(frac * n) observed cells per attempt, drawn with one
+    rng.choice without replacement, redrawn while a column empties."""
+    coords = np.argwhere(frame.mask)
+    n_hold = max(1, int(round(holdout_frac * len(coords))))
+    for _ in range(20):
+        held = coords[rng.choice(len(coords), size=n_hold, replace=False)]
+        train_mask = frame.mask.copy()
+        train_mask[held[:, 0], held[:, 1]] = False
+        if not np.any(train_mask.sum(axis=0) == 0):
+            return train_mask, held
+    raise AssertionError("reference draw kept emptying a column")
+
+
+class TestDrawHoldout:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_reference_formula(self, rng, seed):
+        frame, _ = gaussian_frame(rng, 12, 5, p_obs=0.8)
+        for frac in (0.1, 0.2, 0.35):
+            train, held = selection.draw_holdout(
+                frame, frac, np.random.default_rng(seed)
+            )
+            ref_mask, ref_held = reference_holdout_draw(
+                frame, frac, np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(held, ref_held)
+            np.testing.assert_array_equal(train.mask, ref_mask)
+
+    def test_redraws_a_draw_that_empties_a_column(self):
+        frame = lone_cell_frame()
+        seed = seed_whose_first_draw_empties(frame, 0.2)
+        train, held = selection.draw_holdout(
+            frame, 0.2, np.random.default_rng(seed)
+        )
+        assert train.mask.any(axis=0).all()
+        assert not np.any(held[:, 1] == 0)
+        ref_mask, ref_held = reference_holdout_draw(
+            frame, 0.2, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(held, ref_held)
+        np.testing.assert_array_equal(train.mask, ref_mask)
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.2, 1.5, np.nan])
+    def test_bad_fraction_rejected(self, rng, frac):
+        frame, links = gaussian_frame(rng, 8, 3)
+        with pytest.raises(InvalidInputError, match="holdout_frac"):
+            selection.draw_holdout(frame, frac, np.random.default_rng(0))
+        d = groups_dict(8, 3)
+        with pytest.raises(InvalidInputError, match="holdout_frac"):
+            holdout_select(frame, links, d, small_grid(frame, links, d),
+                           holdout_frac=frac)
 
 
 class TestChooseBest:
