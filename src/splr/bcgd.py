@@ -10,17 +10,20 @@ data-fitting term (curvature weights w and working responses Z at the current
 parameter matrix, plus a ridge ``nu``), solves the model's alpha block as a
 weighted Lasso and its L block as a weighted nuclear-norm problem, and then
 backtracks each block's step length by one Armijo rule (Tseng & Yun, 2009)
-until the true objective beats the ``slope`` fraction of the model-predicted
-decrease.  That decrease is strictly negative for a nonzero direction, which
-makes the objective trace nonincreasing.  A non-negative one within the
-rounding error of its terms is a zero step; a larger one raises
-``InternalConsistencyError``.
+until the true objective beats a fixed fraction of the model-predicted
+decrease (the rule's constants are ``SolverConfig`` class constants, and
+``_STALL_FLOOR`` ends a stalled search).  That decrease is strictly negative
+for a nonzero direction, which makes the objective trace nonincreasing.  A
+non-negative one within the rounding error of its terms is a zero step; a
+larger one raises ``InternalConsistencyError``.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,19 +48,22 @@ from .subsolvers import (
 
 # directions with no numerically meaningful movement are treated as zero
 _ZERO_DIRECTION_RTOL = 1e-12
+# a step this short moves no iterate of a sane scale; the search gives up
+_STALL_FLOOR = 1e-12
 _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalties, line-search constants, stopping rule, subsolver settings."""
+    """Penalties, ridge, stopping rule, subsolver settings; fixed Armijo constants."""
+
+    tau_init: ClassVar[float] = 1.0
+    backtrack: ClassVar[float] = 0.5
+    slope: ClassVar[float] = 0.1
 
     lam1: float
     lam2: float
     nu: float = 1e-2
-    tau_init: float = 1.0
-    backtrack: float = 0.5
-    slope: float = 0.1
     eps_f: float = 1e-6
     max_outer: int = 200
     lasso_tol: float = 1e-8
@@ -66,27 +72,19 @@ class SolverConfig:
     nuclear_max_iter: int = 100
     update_alpha: bool = True
     update_l: bool = True
-    stall_floor: float = 1e-12
-    curvature_floor: float = 1e-10
 
     def __post_init__(self):
         for name, lam in (("lam1", self.lam1), ("lam2", self.lam2)):
             if not 0 <= lam < np.inf:
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {lam}")
-        if not 0 < self.nu < np.inf:
-            raise InvalidInputError("nu must be finite and > 0")
-        if not 0 < self.tau_init < np.inf:
-            raise InvalidInputError("tau_init must be finite and > 0")
-        if not 0 < self.backtrack < 1:
-            raise InvalidInputError("backtrack factor must be in (0, 1)")
-        if not 0 < self.slope < 1:
-            raise InvalidInputError("slope fraction must be in (0, 1)")
-        if not self.eps_f > 0 or self.max_outer < 1:
-            raise InvalidInputError("eps_f must be > 0 and max_outer >= 1")
-        # a NaN stall floor would leave the line search no exit but acceptance
-        for name in ("stall_floor", "curvature_floor"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise InvalidInputError(f"{name} must be finite and > 0")
+        for name in ("nu", "eps_f", "lasso_tol", "nuclear_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+                raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
+        for name in ("max_outer", "lasso_max_iter", "nuclear_max_iter"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise InvalidInputError(f"{name} must be an integer >= 1, got {value}")
 
 
 @dataclass
@@ -228,9 +226,9 @@ def _armijo(frame, links, state, config, name, block, direction, field,
         if f_trial + lam * pen_trial <= base + tau * config.slope * model_decrease:
             return tau, model_decrease, x_trial, f_trial, pen_trial
         tau *= config.backtrack
-        if tau < config.stall_floor:
+        if tau < _STALL_FLOOR:
             raise LineSearchStallError(
-                f"line search stalled below {config.stall_floor:g} "
+                f"line search stalled below {_STALL_FLOOR:g} "
                 f"(predicted decrease {model_decrease:.3e})"
             )
 
@@ -246,9 +244,7 @@ def alpha_step(
 ) -> StepResult:
     """One main-effects update: weighted-Lasso direction plus Armijo step."""
     weights = expfam.curvature_weights(state.x, frame, links)
-    working = expfam.working_responses(
-        state.x, frame, links, config.curvature_floor
-    )
+    working = expfam.working_responses(state.x, frame, links)
     targets = working + dictionary.apply(state.alpha)
     prob = WeightedLassoProblem(
         dictionary, weights, targets, config.nu, state.alpha, config.lam2
@@ -295,7 +291,7 @@ def l_step(
     """One interactions update: weighted nuclear direction plus Armijo step."""
     weighted_working, prob = _nuclear_model(
         expfam.curvature_weights(state.x, frame, links),
-        expfam.working_responses(state.x, frame, links, config.curvature_floor),
+        expfam.working_responses(state.x, frame, links),
         state.low_rank, config,
     )
     if nuclear_current is None:
@@ -351,12 +347,14 @@ def fit(
         l0 = np.zeros(dictionary.shape)
     else:
         alpha0, l0 = (np.array(v, dtype=float) for v in init)
+
+    def penalized(state, nuc):
+        return (state.data_fit + config.lam1 * nuc
+                + config.lam2 * float(np.abs(state.alpha).sum()))
+
     state = make_state(frame, links, dictionary, alpha0, l0)
     nuc = 0.0 if init is None else nuclear_norm(state.low_rank)
-    current = (
-        state.data_fit + config.lam1 * nuc
-        + config.lam2 * float(np.abs(state.alpha).sum())
-    )
+    current = penalized(state, nuc)
     trace = [current]
     steps = []
     converged = False
@@ -381,17 +379,13 @@ def fit(
                 em_iters += res.nuclear_iters
                 del res  # free its full-size direction and EM solution now
             n_iter += 1
-            new_val = (
-                state.data_fit + config.lam1 * nuc
-                + config.lam2 * float(np.abs(state.alpha).sum())
-            )
+            new_val = penalized(state, nuc)
             trace.append(new_val)
             steps.append((tau_a, tau_l))
-            if abs(current - new_val) <= config.eps_f * max(1.0, abs(current)):
-                converged = True
-                current = new_val
-                break
+            converged = abs(current - new_val) <= config.eps_f * max(1.0, abs(current))
             current = new_val
+            if converged:
+                break
     except SplrError as exc:
         raise FitAbortedError(
             f"fit aborted at outer iteration {n_iter + 1}: {exc}", trace=trace

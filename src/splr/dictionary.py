@@ -48,6 +48,16 @@ def _index_dtype(shape, n_atoms):
     return np.int32 if fits else np.intp
 
 
+def _indices(values, what) -> np.ndarray:
+    """``values`` as intp; a non-integral index is an error, not a truncation."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(float)
+        if not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+            raise InvalidInputError(f"{what} must be integers")
+    return arr.astype(np.intp)
+
+
 def _one_run(cells, owner, n_atoms) -> AtomSupports:
     """Supports of unit-valued atoms that are pairwise disjoint."""
     return AtomSupports(
@@ -114,13 +124,9 @@ class GroupEffectsDictionary(Dictionary):
 
     def __init__(self, assignment, shape, n_groups=None):
         super().__init__(shape)
-        assignment = np.asarray(assignment)
+        assignment = _indices(assignment, "group labels")
         if assignment.shape != (self.shape[0],):
             raise InvalidInputError("assignment must give one group per row")
-        if not np.issubdtype(assignment.dtype, np.integer):
-            if np.any(assignment != np.floor(assignment)):
-                raise InvalidInputError("group labels must be integers")
-            assignment = assignment.astype(int)
         if assignment.min(initial=0) < 0:
             raise InvalidInputError("every row needs a nonnegative group label")
         h = int(assignment.max()) + 1 if n_groups is None else int(n_groups)
@@ -129,10 +135,9 @@ class GroupEffectsDictionary(Dictionary):
             raise InvalidInputError(
                 "group labels must cover 0..n_groups-1 with no empty group"
             )
-        self.assignment = assignment.copy()
+        self.assignment = assignment  # _indices made a copy
         self.assignment.setflags(write=False)
         self.n_groups = h
-        self.group_sizes = counts
 
     @property
     def n_atoms(self) -> int:
@@ -196,9 +201,10 @@ class CorruptionsDictionary(Dictionary):
 
     def __init__(self, cells, shape):
         super().__init__(shape)
-        cells = [(int(i), int(j)) for i, j in cells]
-        if not cells:
-            raise InvalidInputError("corruptions dictionary needs at least one cell")
+        idx = _indices(list(cells), "corruption cells")
+        if idx.ndim != 2 or idx.shape[1] != 2 or not len(idx):
+            raise InvalidInputError("corruptions need one or more (row, column) cells")
+        cells = [tuple(c) for c in idx.tolist()]
         if len(set(cells)) != len(cells):
             raise InvalidInputError("corruption cells must be unique")
         m1, m2 = self.shape
@@ -206,8 +212,7 @@ class CorruptionsDictionary(Dictionary):
             if not (0 <= i < m1 and 0 <= j < m2):
                 raise InvalidInputError(f"cell ({i}, {j}) outside {m1} x {m2} frame")
         self.cells = tuple(cells)
-        self._rows = np.array([c[0] for c in cells], dtype=np.intp)
-        self._cols = np.array([c[1] for c in cells], dtype=np.intp)
+        self._rows, self._cols = np.ascontiguousarray(idx.T)
 
     @property
     def n_atoms(self) -> int:
@@ -246,9 +251,11 @@ class CustomDictionary(Dictionary):
             triplets = list(triplets)
             if not triplets:
                 raise InvalidInputError(f"atom {k} is empty")
-            rows = np.array([t[0] for t in triplets], dtype=np.intp)
-            cols = np.array([t[1] for t in triplets], dtype=np.intp)
+            rows = _indices([t[0] for t in triplets], f"atom {k} rows")
+            cols = _indices([t[1] for t in triplets], f"atom {k} columns")
             vals = np.array([t[2] for t in triplets], dtype=float)
+            if not np.isfinite(vals).all():
+                raise InvalidInputError(f"atom {k} has non-finite values")
             if rows.min() < 0 or rows.max() >= m1 or cols.min() < 0 or cols.max() >= m2:
                 raise InvalidInputError(f"atom {k} has entries outside the frame")
             if np.any(np.abs(vals) > 1.0):

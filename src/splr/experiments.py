@@ -4,7 +4,9 @@ Every harness emits long-format rows carrying the complete design, the
 replicate seed, and a hash of the solver configuration, so a rerun from the
 same manifest reproduces every numeric cell bit for bit.  Replicate seeds are
 derived from the base seed through a fixed-order draw, never from global
-state.
+state.  Every row of every study is built by ``_row``, which computes the
+error metrics itself, and every study's rows CSV and manifest are written by
+``_write_study``.
 
 Penalty selection: the estimation and imputation studies tune both penalties
 per replicate on a random holdout of observed entries (warm-started grid
@@ -58,9 +60,13 @@ def config_hash(config: SolverConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _replicate_seeds(base_seed: int, n: int) -> list:
+_STUDY_HASH = config_hash(STUDY_CONFIG)
+
+
+def _replicate_seeds(base_seed: int, n: int):
+    """An iterator over n replicate seeds, drawn in a fixed order."""
     rng = np.random.default_rng(base_seed)
-    return [int(s) for s in rng.integers(0, 2**62, size=n)]
+    return iter([int(s) for s in rng.integers(0, 2**62, size=n)])
 
 
 # both methods tune on the same share of held-out cells, over penalties
@@ -118,18 +124,18 @@ def simulated_noise_anchors(instance, seed: int = 0):
     return float(np.median(ops)), float(np.median(sups))
 
 
-def _metrics_row(instance, method, metrics, lam1, lam2, cfg_hash, extra=None):
-    row = {
+def _row(instance, method, lam1, lam2, alpha_hat, l_hat, preds, **extra):
+    """One study row: the design, the method, its penalties, the config hash,
+    the error metrics of (alpha_hat, l_hat, preds), then ``extra``."""
+    return {
         **instance.design.to_json_dict(),
         "method": method,
         "lambda1": lam1,
         "lambda2": lam2,
-        "config_hash": cfg_hash,
-        **metrics.as_dict(),
+        "config_hash": _STUDY_HASH,
+        **error_metrics(instance, alpha_hat, l_hat, preds).as_dict(),
+        **extra,
     }
-    if extra:
-        row.update(extra)
-    return row
 
 
 def write_rows_csv(rows: list, path) -> None:
@@ -143,11 +149,14 @@ def write_rows_csv(rows: list, path) -> None:
         writer.writerows(rows)
 
 
-def write_manifest(manifest: dict, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_study(out_dir, prefix, rows, manifest) -> None:
+    """Write ``rows`` to <prefix>_study.csv and ``manifest``, with the config
+    hash, to <prefix>_manifest.json."""
+    out_dir = Path(out_dir)
+    write_rows_csv(rows, out_dir / f"{prefix}_study.csv")
+    with open(out_dir / f"{prefix}_manifest.json", "w", encoding="utf-8") as fh:
+        json.dump({**manifest, "config_hash": _STUDY_HASH}, fh, indent=2,
+                  sort_keys=True)
 
 
 def run_estimation_study(
@@ -165,47 +174,31 @@ def run_estimation_study(
     two-step group-mean + soft-impute comparator, numeric columns only."""
     cells = [(s, r) for s in s_list for r in r_list]
     seeds = _replicate_seeds(seed, len(cells) * n_reps)
-    cfg_hash = config_hash(STUDY_CONFIG)
     rows = []
-    idx = 0
     for s, r in cells:
         for rep in range(n_reps):
             design = SimDesign(
                 m1=m1, m2=m2, s=s, r=r, p_obs=p_obs,
-                n_groups=n_groups, seed=seeds[idx],
+                n_groups=n_groups, seed=next(seeds),
             )
-            idx += 1
             instance = simulate_instance(design)
             lam1, lam2, ours = _fit_ours_holdout(instance)
-            preds = expfam.predicted_means(ours.x_hat, instance.links)
-            rows.append(
-                _metrics_row(
-                    instance, METHOD_OURS,
-                    error_metrics(instance, ours.alpha_hat, ours.l_hat, preds),
-                    lam1, lam2, cfg_hash, {"rep": rep},
-                )
-            )
+            rows.append(_row(
+                instance, METHOD_OURS, lam1, lam2, ours.alpha_hat, ours.l_hat,
+                expfam.predicted_means(ours.x_hat, instance.links), rep=rep,
+            ))
             lam_svt, base = _fit_baseline_holdout(instance)
-            rows.append(
-                _metrics_row(
-                    instance, METHOD_GROUP_MEAN_SVT,
-                    error_metrics(instance, base.alpha_hat, base.l_hat, base.x_hat),
-                    lam_svt, 0.0, cfg_hash, {"rep": rep},
-                )
-            )
+            rows.append(_row(
+                instance, METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base.alpha_hat,
+                base.l_hat, base.x_hat, rep=rep,
+            ))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_rows_csv(rows, out_dir / "estimation_study.csv")
-        write_manifest(
-            {
-                "study": "estimation",
-                "m1": m1, "m2": m2, "n_groups": n_groups,
-                "s_list": list(s_list), "r_list": list(r_list),
-                "p_obs": p_obs, "n_reps": n_reps, "seed": seed,
-                "config_hash": cfg_hash,
-            },
-            out_dir / "estimation_manifest.json",
-        )
+        _write_study(out_dir, "estimation", rows, {
+            "study": "estimation",
+            "m1": m1, "m2": m2, "n_groups": n_groups,
+            "s_list": list(s_list), "r_list": list(r_list),
+            "p_obs": p_obs, "n_reps": n_reps, "seed": seed,
+        })
     return rows
 
 
@@ -252,11 +245,10 @@ def run_imputation_study(
     a within-instance comparison rather than a cross-instance one.
     """
     seeds = _replicate_seeds(seed, len(ratios) * n_reps)
-    cfg_hash = config_hash(STUDY_CONFIG)
     rows = []
-    for c, rho in enumerate(ratios):
+    for rho in ratios:
         for rep in range(n_reps):
-            rep_seed = seeds[c * n_reps + rep]
+            rep_seed = next(seeds)
             for miss in missing_fracs:
                 design = SimDesign(
                     m1=m1, m2=m2, s=s, r=r, p_obs=1.0 - miss, ratio=rho,
@@ -264,59 +256,30 @@ def run_imputation_study(
                     seed=rep_seed,
                 )
                 instance = simulate_instance(design)
-                extra = {"rep": rep, "missing_frac": miss}
-
                 lam1, lam2, ours = _fit_ours_holdout(instance)
-                preds = expfam.predicted_means(ours.x_hat, instance.links)
-                rows.append(
-                    _metrics_row(
-                        instance, METHOD_OURS,
-                        error_metrics(
-                            instance, ours.alpha_hat, ours.l_hat, preds
-                        ),
-                        lam1, lam2, cfg_hash,
-                        {**extra, **_per_type_mse(instance, preds)},
-                    )
-                )
-
-                col_preds = column_mean_predictions(instance.frame)
-                rows.append(
-                    _metrics_row(
-                        instance, METHOD_COLUMN_MEAN,
-                        error_metrics(
-                            instance,
-                            np.zeros(instance.dictionary.n_atoms),
-                            np.zeros(instance.frame.shape),
-                            col_preds,
-                        ),
-                        0.0, 0.0, cfg_hash,
-                        {**extra, **_per_type_mse(instance, col_preds)},
-                    )
-                )
-
                 lam_svt, base = _fit_baseline_holdout(instance)
-                rows.append(
-                    _metrics_row(
-                        instance, METHOD_GROUP_MEAN_SVT,
-                        error_metrics(
-                            instance, base.alpha_hat, base.l_hat, base.x_hat
-                        ),
-                        lam_svt, 0.0, cfg_hash,
-                        {**extra, **_per_type_mse(instance, base.x_hat)},
-                    )
-                )
+                for method, l1, l2, alpha_hat, l_hat, preds in (
+                    (METHOD_OURS, lam1, lam2, ours.alpha_hat, ours.l_hat,
+                     expfam.predicted_means(ours.x_hat, instance.links)),
+                    (METHOD_COLUMN_MEAN, 0.0, 0.0,
+                     np.zeros(instance.dictionary.n_atoms),
+                     np.zeros(instance.frame.shape),
+                     column_mean_predictions(instance.frame)),
+                    (METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base.alpha_hat,
+                     base.l_hat, base.x_hat),
+                ):
+                    rows.append(_row(
+                        instance, method, l1, l2, alpha_hat, l_hat, preds,
+                        rep=rep, missing_frac=miss,
+                        **_per_type_mse(instance, preds),
+                    ))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_rows_csv(rows, out_dir / "imputation_study.csv")
-        write_manifest(
-            {
-                "study": "imputation",
-                "missing_fracs": list(missing_fracs), "ratios": list(ratios),
-                "m1": m1, "m2": m2, "s": s, "r": r, "n_groups": n_groups,
-                "n_reps": n_reps, "seed": seed, "config_hash": cfg_hash,
-            },
-            out_dir / "imputation_manifest.json",
-        )
+        _write_study(out_dir, "imputation", rows, {
+            "study": "imputation",
+            "missing_fracs": list(missing_fracs), "ratios": list(ratios),
+            "m1": m1, "m2": m2, "s": s, "r": r, "n_groups": n_groups,
+            "n_reps": n_reps, "seed": seed,
+        })
     return rows
 
 
@@ -363,49 +326,30 @@ def run_rate_study(
     p_values = [p_obs] + ([p_obs / 2.0] if include_half_p else [])
     cells = [(m, p) for p in p_values for m in m_list]
     seeds = _replicate_seeds(seed, len(cells) * n_reps)
-    cfg_hash = config_hash(STUDY_CONFIG)
     rows = []
-    idx = 0
     for m, p in cells:
         for rep in range(n_reps):
-            design = rate_design(m, p, seeds[idx], m2=m2, s=s, r=r)
-            idx += 1
+            design = rate_design(m, p, next(seeds), m2=m2, s=s, r=r)
             instance = simulate_instance(design)
-            a1, a2 = simulated_noise_anchors(
-                instance, seed=design.seed + 1
-            )
-            cfg = replace(
-                STUDY_CONFIG,
-                lam1=RATE_ANCHOR_C1 * a1,
-                lam2=RATE_ANCHOR_C2 * a2,
-            )
-            result = fit(instance.frame, instance.links, instance.dictionary, cfg)
-            preds = expfam.predicted_means(result.x_hat, instance.links)
-            rows.append(
-                _metrics_row(
-                    instance, METHOD_OURS,
-                    error_metrics(
-                        instance, result.alpha_hat, result.l_hat, preds
-                    ),
-                    cfg.lam1, cfg.lam2, cfg_hash, {"rep": rep},
-                )
-            )
+            a1, a2 = simulated_noise_anchors(instance, seed=design.seed + 1)
+            lam1, lam2 = RATE_ANCHOR_C1 * a1, RATE_ANCHOR_C2 * a2
+            result = fit(instance.frame, instance.links, instance.dictionary,
+                         replace(STUDY_CONFIG, lam1=lam1, lam2=lam2))
+            rows.append(_row(
+                instance, METHOD_OURS, lam1, lam2, result.alpha_hat, result.l_hat,
+                expfam.predicted_means(result.x_hat, instance.links), rep=rep,
+            ))
     summary = summarize_rate_rows(rows, m_list, p_obs, include_half_p, seed)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        write_rows_csv(rows, out_dir / "rate_study.csv")
-        write_manifest(
-            {
-                "study": "rates",
-                "m_list": list(m_list), "m2": m2, "s": s, "r": r,
-                "p_obs": p_obs, "include_half_p": include_half_p,
-                "n_reps": n_reps, "seed": seed, "config_hash": cfg_hash,
-                "group_size": RATE_GROUP_SIZE, "box": RATE_BOX,
-                "anchor_c1": RATE_ANCHOR_C1, "anchor_c2": RATE_ANCHOR_C2,
-            },
-            out_dir / "rate_manifest.json",
-        )
-        write_rows_csv([summary], out_dir / "rate_summary.csv")
+        _write_study(out_dir, "rate", rows, {
+            "study": "rates",
+            "m_list": list(m_list), "m2": m2, "s": s, "r": r,
+            "p_obs": p_obs, "include_half_p": include_half_p,
+            "n_reps": n_reps, "seed": seed,
+            "group_size": RATE_GROUP_SIZE, "box": RATE_BOX,
+            "anchor_c1": RATE_ANCHOR_C1, "anchor_c2": RATE_ANCHOR_C2,
+        })
+        write_rows_csv([summary], Path(out_dir) / "rate_summary.csv")
     return rows, summary
 
 

@@ -29,6 +29,8 @@ POISSON = "poisson"
 
 # exp() overflows float64 just above this; fail loudly instead of clipping
 _EXP_ARG_MAX = 700.0
+# a working response divides by g''(x); below this the division is meaningless
+_CURVATURE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,10 @@ class LinkSpec:
     def __post_init__(self):
         if self.kind not in (GAUSSIAN, BERNOULLI, POISSON):
             raise InvalidInputError(f"unknown link kind {self.kind!r}")
-        if self.kind == GAUSSIAN and not self.sigma2 > 0:
-            raise InvalidInputError("gaussian scale sigma2 must be > 0")
-        if self.kind == POISSON and self.a == 0:
-            raise InvalidInputError("poisson rate-scale a must be nonzero")
+        if self.kind == GAUSSIAN and not 0 < self.sigma2 < np.inf:
+            raise InvalidInputError("gaussian scale sigma2 must be finite and > 0")
+        if self.kind == POISSON and not (np.isfinite(self.a) and self.a != 0):
+            raise InvalidInputError("poisson rate-scale a must be finite and nonzero")
 
     @classmethod
     def gaussian(cls, sigma2: float = 1.0) -> "LinkSpec":
@@ -166,7 +168,7 @@ def curvature_weights(x, frame, links) -> np.ndarray:
     ])
 
 
-def working_responses(x, frame, links, curvature_floor: float = 1e-10) -> np.ndarray:
+def working_responses(x, frame, links) -> np.ndarray:
     """Newton-style targets (Y - g'(x)) / g''(x); zero where unobserved.
 
     Unobserved entries always carry zero weight downstream, so the value
@@ -175,10 +177,10 @@ def working_responses(x, frame, links, curvature_floor: float = 1e-10) -> np.nda
     parts = []
     for link, cells, xo, yo in _observed_by_link(x, frame, links):
         curv = link.gsecond(xo)
-        if np.any(curv < curvature_floor):
+        if np.any(curv < _CURVATURE_FLOOR):
             bad = divmod(int(cells[np.argmin(curv)]), frame.n_cols)
             raise NumericDegeneracyError(
-                f"curvature underflow below {curvature_floor:g} at entry "
+                f"curvature underflow below {_CURVATURE_FLOOR:g} at entry "
                 f"({bad[0]}, {bad[1]})",
                 entry=bad,
             )

@@ -47,6 +47,8 @@ class LambdaGrid:
             ("lambda2", self.lambda2, self.degenerate2),
         ):
             arr = np.asarray(arr, dtype=float)
+            if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+                raise InvalidInputError(f"{name} grid must be finite and non-empty")
             if degen:
                 if not np.array_equal(arr, [0.0]):
                     raise InvalidInputError(f"degenerate {name} grid must be [0]")
@@ -71,6 +73,10 @@ def default_grid(
     decades: float = 3.0,
 ) -> LambdaGrid:
     """Geometric grids anchored at the exact zero-model thresholds."""
+    if n1 < 1 or n2 < 1:
+        raise InvalidInputError(f"grid lengths must be >= 1, got n1={n1}, n2={n2}")
+    if not 0 < decades < np.inf:
+        raise InvalidInputError(f"decades must be finite and > 0, got {decades}")
     grad0 = expfam.gradient(np.zeros(frame.shape), frame, links)
     lam1_max = float(np.linalg.svd(grad0, compute_uv=False)[0])
     lam2_max = float(np.abs(dictionary.adjoint(grad0)).max())
@@ -197,7 +203,6 @@ def path_errors(
     config: bcgd.SolverConfig,
     holdout_coords,
     y_true,
-    column_types,
 ):
     """Warm-started fits over the whole grid; squared error on held-out cells.
 
@@ -206,13 +211,12 @@ def path_errors(
     """
     rows, cols = holdout_coords[:, 0], holdout_coords[:, 1]
     assert not train_frame.mask[rows, cols].any(), "held-out cells leaked into training"
-    types = [column_types[j].value for j in cols]
-    type_names = sorted(set(types))
-    type_sel = {t: np.array([tt == t for tt in types]) for t in type_names}
+    types = [train_frame.column_types[j].value for j in cols]
+    type_sel = {t: np.array(types) == t for t in sorted(set(types))}
 
     n1, n2 = len(grid.lambda1), len(grid.lambda2)
     errors = np.full((n1, n2), np.nan)
-    per_type = {t: np.full((n1, n2), np.nan) for t in type_names}
+    per_type = {t: np.full((n1, n2), np.nan) for t in type_sel}
     fits = {}
     warm = None
     for i1, lam1 in enumerate(grid.lambda1):
@@ -224,10 +228,8 @@ def path_errors(
             mu = expfam.predicted_means(result.x_hat, links)[rows, cols]
             sq = (mu - y_true) ** 2
             errors[i1, i2] = float(sq.mean())
-            for t in type_names:
-                sel = type_sel[t]
-                if sel.any():
-                    per_type[t][i1, i2] = float(sq[sel].mean())
+            for t, sel in type_sel.items():
+                per_type[t][i1, i2] = float(sq[sel].mean())
     return errors, per_type, fits
 
 
@@ -268,8 +270,7 @@ def cross_validate(
         train = _hold_out(frame, fold_coords)
         y_true = frame.values[fold_coords[:, 0], fold_coords[:, 1]]
         errors, per_type, _ = path_errors(
-            train, links, dictionary, grid, config,
-            fold_coords, y_true, frame.column_types,
+            train, links, dictionary, grid, config, fold_coords, y_true
         )
         fold_errors[f] = errors
         for i1 in range(n1):
@@ -329,9 +330,7 @@ def holdout_select(
         config = bcgd.SolverConfig(lam1=0.0, lam2=0.0)
     train, held = draw_holdout(frame, holdout_frac, np.random.default_rng(seed))
     y_true = frame.values[held[:, 0], held[:, 1]]
-    errors, _, fits = path_errors(
-        train, links, dictionary, grid, config, held, y_true, frame.column_types
-    )
+    errors, _, fits = path_errors(train, links, dictionary, grid, config, held, y_true)
     i1, i2 = choose_best(grid, errors)
     lam1, lam2 = float(grid.lambda1[i1]), float(grid.lambda2[i2])
     best = fits[(i1, i2)]

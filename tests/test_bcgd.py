@@ -1,5 +1,7 @@
 """Outer solver: step mechanics, fixed points, and an independent reference."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -489,18 +491,37 @@ class TestConfigValidation:
             SolverConfig(lam1=-0.1, lam2=0.0)
         with pytest.raises(InvalidInputError):
             SolverConfig(lam1=0.0, lam2=0.0, nu=0.0)
-        with pytest.raises(InvalidInputError):
-            SolverConfig(lam1=0.0, lam2=0.0, backtrack=1.0)
-        # an infinite ridge makes the Lasso updates NaN, and an infinite first
-        # step never shrinks, so the Armijo search would not end
-        for field in ("nu", "tau_init"):
-            with pytest.raises(InvalidInputError, match=f"^{field} must be finite"):
-                SolverConfig(lam1=0.0, lam2=0.0, **{field: np.inf})
-        # a NaN stall floor never ends a stalled Armijo search
-        for field in ("stall_floor", "curvature_floor"):
-            for bad in (np.nan, np.inf, 0.0, -1e-12):
-                with pytest.raises(InvalidInputError, match=f"^{field} must be finite"):
-                    SolverConfig(lam1=0.0, lam2=0.0, **{field: bad})
+        # an infinite ridge makes the Lasso updates NaN
+        with pytest.raises(InvalidInputError, match="^nu must be finite"):
+            SolverConfig(lam1=0.0, lam2=0.0, nu=np.inf)
+
+    @pytest.mark.parametrize("bad", [2.5, 0, -1, 2.0, "3"])
+    @pytest.mark.parametrize(
+        "name", ["max_outer", "lasso_max_iter", "nuclear_max_iter"]
+    )
+    def test_iteration_caps_are_positive_integers(self, name, bad):
+        # 2.5 ended in a TypeError from range(), and nuclear_max_iter=0 ran a
+        # fit whose L block never moved
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= 1"):
+            SolverConfig(lam1=0.1, lam2=0.1, **{name: bad})
+        assert SolverConfig(lam1=0.1, lam2=0.1, **{name: np.int64(3)})
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-8, np.nan, np.inf, "1e-6"])
+    @pytest.mark.parametrize("name", ["eps_f", "lasso_tol", "nuclear_tol"])
+    def test_tolerances_finite_and_positive(self, name, bad):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite and > 0"):
+            SolverConfig(lam1=0.1, lam2=0.1, **{name: bad})
+
+    def test_armijo_constants_are_not_settings(self):
+        # readable from a fit's config, as the benchmark reads them, but no
+        # field of the config, its report or its hash
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        config = SolverConfig(lam1=0.1, lam2=0.1)
+        for name, value in (("tau_init", 1.0), ("backtrack", 0.5), ("slope", 0.1)):
+            assert name not in names
+            assert getattr(config, name) == value
+            with pytest.raises(TypeError):
+                SolverConfig(lam1=0.1, lam2=0.1, **{name: value})
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     @pytest.mark.parametrize("name", ["lam1", "lam2"])

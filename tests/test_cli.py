@@ -309,3 +309,65 @@ class TestFitSummary:
             f"rank {report['rank']}, {report['alpha_nonzeros']} active coefficients"
             in capsys.readouterr().out
         )
+
+
+class TestInputErrors:
+    """Bad inputs exit 1 with one ``error:`` line naming the cause."""
+
+    def _fit(self, capsys, data, schema, dict_path, out, *extra):
+        code = main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
+            "--out", str(out), *extra,
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"max_outer": 2.5}, "error: max_outer must be an integer >= 1"),
+            ({"nuclear_max_iter": 2.5}, "error: nuclear_max_iter must be an integer"),
+            ({"nuclear_max_iter": 0}, "error: nuclear_max_iter must be an integer"),
+            ({"lasso_tol": 0.0}, "error: lasso_tol must be finite and > 0"),
+            ({"slope": 0.2}, "error: unknown solver config keys: ['slope']"),
+        ],
+    )
+    def test_bad_solver_config(self, workspace, capsys, overrides, message):
+        tmp, data, schema, dict_path = workspace
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        err = self._fit(capsys, data, schema, dict_path, tmp / "o",
+                        "--config", str(cfg))
+        assert message in err
+
+    def test_non_finite_schema_constant(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("visits,b\n" + "".join(
+            f"{i % 4},{0.1 * i}\n" for i in range(8)))
+        schema = tmp_path / "schema.json"
+        # Python's json reads NaN, so it reaches the link
+        schema.write_text('{"visits": {"type": "count", "a": NaN}, "b": "numeric"}')
+        dict_path = tmp_path / "dict.json"
+        dict_path.write_text(json.dumps({"type": "rowcol"}))
+        err = self._fit(capsys, data, schema, dict_path, tmp_path / "o")
+        assert "error: poisson rate-scale a must be finite and nonzero" in err
+
+    def test_non_integral_corruption_cell(self, workspace, capsys):
+        tmp, data, schema, _ = workspace
+        dict_path = tmp / "corrupt.json"
+        dict_path.write_text(json.dumps({"type": "corruptions", "cells": [[0.5, 1]]}))
+        err = self._fit(capsys, data, schema, dict_path, tmp / "o")
+        assert "error: corruption cells must be integers" in err
+
+    def test_cv_empty_grid(self, workspace, capsys):
+        tmp, data, schema, dict_path = workspace
+        code = main([
+            "cv", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--n1", "0", "--folds", "2",
+            "--out", str(tmp / "cv"),
+        ])
+        assert code == EXIT_ERROR
+        assert "error: grid lengths must be >= 1" in capsys.readouterr().err

@@ -224,6 +224,32 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             CorruptionsDictionary([(5, 0)], (2, 2))
 
+    @pytest.mark.parametrize("cell", [(0.5, 1), (0, 1.5), (np.nan, 1), (0, np.inf)])
+    def test_corruptions_non_integral_cell_rejected(self, cell):
+        # (0.5, 1) used to fit cell (0, 1)
+        message = "corruption cells must be integers"
+        with pytest.raises(InvalidInputError, match=message):
+            CorruptionsDictionary([cell], (2, 2))
+        with pytest.raises(InvalidInputError, match=message):
+            build_dictionary({"type": "corruptions", "cells": [list(cell)]}, (2, 2))
+
+    def test_integral_floats_accepted_as_indices(self):
+        d = CorruptionsDictionary([(1.0, 0.0)], (2, 2))
+        assert d.cells == ((1, 0),)
+        c = CustomDictionary([[(1.0, 0.0, 0.5)]], (2, 2))
+        np.testing.assert_array_equal(c.apply([1.0]), [[0.0, 0.0], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("triplet", [(0.7, 0, 0.5), (0, 1.2, 0.5)])
+    def test_custom_non_integral_index_rejected(self, triplet):
+        # a row of 0.7 used to become row 0
+        with pytest.raises(InvalidInputError, match="atom 0 .* must be integers"):
+            CustomDictionary([[triplet]], (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_custom_non_finite_value_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="atom 1 has non-finite values"):
+            CustomDictionary([[(0, 0, 0.5)], [(1, 1, bad)]], (2, 2))
+
 
 class TestDescriptors:
     @pytest.mark.parametrize("kind", ALL_KINDS)

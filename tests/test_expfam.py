@@ -137,6 +137,13 @@ class TestLinkSpec:
         with pytest.raises(InvalidInputError):
             LinkSpec("gamma")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="sigma2 must be finite"):
+            LinkSpec.gaussian(sigma2=bad)
+        with pytest.raises(InvalidInputError, match="rate-scale a must be finite"):
+            LinkSpec.poisson(a=bad)
+
     @pytest.mark.parametrize(
         "link",
         [LinkSpec.gaussian(0.5), LinkSpec.bernoulli(), LinkSpec.poisson(1.5)],

@@ -105,6 +105,36 @@ class TestDefaultGrid:
                 lambda2_max=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "bad", [[], [np.nan], [2.0, np.nan], [np.inf, 1.0], [[2.0, 1.0]]]
+    )
+    @pytest.mark.parametrize("name", ["lambda1", "lambda2"])
+    def test_empty_or_non_finite_grid_rejected(self, name, bad):
+        arrays = {"lambda1": np.array([2.0, 1.0]), "lambda2": np.array([1.0])}
+        arrays[name] = np.array(bad)
+        message = f"^{name} grid must be finite and non-empty"
+        with pytest.raises(InvalidInputError, match=message):
+            LambdaGrid(**arrays, lambda1_max=2.0, lambda2_max=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n1": 0}, "grid lengths"),
+            ({"n2": 0}, "grid lengths"),
+            ({"n1": -3}, "grid lengths"),
+            ({"decades": np.nan}, "decades"),
+            ({"decades": np.inf}, "decades"),
+            ({"decades": 0.0}, "decades"),
+            ({"decades": -1.0}, "decades"),
+        ],
+    )
+    def test_bad_grid_arguments_rejected(self, rng, kwargs, message):
+        # n1=0 used to end in an IndexError in choose_best, and decades=nan
+        # in a grid of NaNs
+        frame, links = gaussian_frame(rng, 6, 3)
+        with pytest.raises(InvalidInputError, match=f"^{message} must be"):
+            default_grid(frame, links, groups_dict(6, 3), **kwargs)
+
 
 def small_grid(frame, links, d, n=3):
     return default_grid(frame, links, d, n1=n, n2=n, decades=2.0)
@@ -192,7 +222,7 @@ class TestCrossValidate:
         )
         y_true = frame.values[held[:, 0], held[:, 1]]
         _, _, fits = selection.path_errors(
-            train, links, d, grid, config, held, y_true, frame.column_types
+            train, links, d, grid, config, held, y_true
         )
         for (i1, i2), warm_fit in fits.items():
             cfg = dataclasses.replace(
