@@ -211,10 +211,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return EXIT_ERROR
-    except SplrError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SplrError, OSError, json.JSONDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
 

@@ -318,16 +318,22 @@ class CustomDictionary(Dictionary):
 
 def build_dictionary(descriptor: dict, shape) -> Dictionary:
     """Construct a dictionary from its JSON descriptor."""
-    kind = descriptor.get("type")
-    if kind == "groups":
-        return GroupEffectsDictionary(descriptor["assignment"], shape)
+    kind = descriptor.get("type") if isinstance(descriptor, dict) else None
     if kind == "rowcol":
         return RowColumnDictionary(shape)
-    if kind == "corruptions":
-        return CorruptionsDictionary(descriptor["cells"], shape)
-    if kind == "custom":
-        return CustomDictionary(descriptor["atoms"], shape)
-    raise InvalidInputError(f"unknown dictionary type {kind!r}")
+    cls, key = {
+        "groups": (GroupEffectsDictionary, "assignment"),
+        "corruptions": (CorruptionsDictionary, "cells"),
+        "custom": (CustomDictionary, "atoms"),
+    }.get(kind, (None, None))
+    if cls is None:
+        raise InvalidInputError(f"unknown dictionary type {kind!r}")
+    if key not in descriptor:
+        raise InvalidInputError(f"{kind} dictionary descriptor needs {key!r}")
+    try:
+        return cls(descriptor[key], shape)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InvalidInputError(f"malformed {kind} {key!r}: {exc}") from exc
 
 
 def equal_group_assignment(n_rows: int, n_groups: int) -> np.ndarray:

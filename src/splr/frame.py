@@ -130,12 +130,17 @@ def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:
         spec = (schema or {}).get(name, {})
         if isinstance(spec, str):
             spec = {"type": spec}
+        key = {ColumnType.NUMERIC: "sigma2", ColumnType.COUNT: "a"}.get(ctype)
+        try:
+            value = float(spec.get(key, 1.0))
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"column {name!r}: {key} must be a number") from exc
         if ctype is ColumnType.NUMERIC:
-            links.append(LinkSpec.gaussian(sigma2=float(spec.get("sigma2", 1.0))))
+            links.append(LinkSpec.gaussian(sigma2=value))
         elif ctype is ColumnType.BINARY:
             links.append(LinkSpec.bernoulli())
         else:
-            links.append(LinkSpec.poisson(a=float(spec.get("a", 1.0))))
+            links.append(LinkSpec.poisson(a=value))
     return links
 
 
@@ -143,11 +148,13 @@ def read_schema(path) -> dict:
     """Load a schema sidecar; values may be bare type strings or objects."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise SchemaError("schema must be a JSON object")
     schema = {}
     for name, spec in raw.items():
         if isinstance(spec, str):
             spec = {"type": spec}
-        ctype = spec.get("type")
+        ctype = spec.get("type") if isinstance(spec, dict) else None
         if ctype not in ("numeric", "binary", "count"):
             raise SchemaError(f"column {name!r}: unknown type {ctype!r}")
         schema[name] = spec

@@ -30,10 +30,10 @@ problem's weights and targets the EM holds three full-size buffers.
 
 Singular value thresholding takes one eigendecomposition of the short-side
 Gram matrix instead of an SVD, and a LAPACK SVD where the threshold is too
-small for that to be accurate (see ``_svt_with_diagnostics``).  Inside the EM
-each SVT after the first is told the previous kept rank; where that rank is
-at most an eighth of the short side (of 100 or more), only the eigenpairs
-above the threshold are computed.
+small for that to be accurate (see ``_svt_with_diagnostics``).  numpy and
+scipy bundle one OpenBLAS each, with a thread pool each.  From a short side
+of 100 the SVT stays in numpy's pool; below it scipy's LAPACK, which stays on
+one thread there, does the eigendecomposition.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ def nuclear_norm(a) -> float:
 # largest error of the Gram SVT, relative to the input's spectral norm
 _GRAM_RTOL = 1e-12
 _EPS = float(np.finfo(float).eps)
-# smallest short side on which a rank hint selects the restricted eigensolver
-_RESTRICTED_MIN_N = 100
+# smallest short side whose Gram matrix numpy's eigh decomposes
+_NUMPY_EIGH_MIN_N = 100
 
 
-def _svt_with_diagnostics(a, lam, rank_hint=None, out=None):
+def _svt_with_diagnostics(a, lam, out=None):
     """Singular value thresholding from the short-side Gram matrix.
 
     With B the input or its transpose, whichever has n = min(m1, m2) columns,
@@ -86,18 +86,15 @@ def _svt_with_diagnostics(a, lam, rank_hint=None, out=None):
     x_k > lam^2, and the shrink sum sum_k (sqrt(x_k) - lam).  That is
     m n^2 + O(n^3) flops against about 14 m n^2 + 8 n^3 for a thin SVD.
 
-    Only the kept eigenpairs enter the output.  Given ``rank_hint``, an
-    expected kept rank with 8 * rank_hint <= n, and n >= 100, the eigensolver
-    computes just the eigenpairs in (lam^2, inf) (MRRR, ``evr``), LAPACK's
-    half-open interval being exactly that kept set; otherwise divide and
-    conquer computes all of them.  Restricted over full time on
-    low-rank-plus-noise Grams (n = 30 to 500, 2 BLAS threads): 0.4-0.6 at 3%
-    kept, 0.7-0.9 at 10-12%, 1.0-1.3 at 20%, 1.6-2.8 at half, so the kept
-    share, not the size, decides the speed.  But the two solvers agree to
-    rounding, not bit for bit, and on small inputs the restricted one saves
-    little (0.1 and 0.2 ms per call at 150 x 30 and 300 x 40, against 55 ms
-    at 5000 x 500), so below n = 100, the study scale included, the results
-    stay those of divide and conquer.
+    Only the kept eigenpairs enter the output, but divide and conquer
+    (LAPACK ``dsyevd``) computes all of them: numpy's ``eigh`` from n = 100,
+    in the pool of the numpy OpenBLAS that forms the products, and scipy's
+    below, whose OpenBLAS is a second pool.  Process CPU over wall time of
+    the decomposition at 2 threads on 2 cores: scipy's 1.0 up to n = 60,
+    1.8-2.0 from n = 70; numpy's 1.9-2.0 from n = 30.  So scipy's keeps one
+    thread at study scale (n = 30 and 40), but from n = 100 it would alternate
+    with numpy's products every EM iteration, each pool's spinning workers
+    slowing the other's.
 
     Accuracy: forming G and decomposing it err by some E with ||E||_F about
     eps sqrt(n) sigma_1^2.  To first order the output moves by
@@ -122,18 +119,15 @@ def _svt_with_diagnostics(a, lam, rank_hint=None, out=None):
     tall = a.shape[0] >= a.shape[1]
     gram = a.T @ a if tall else a @ a.T
     n = len(gram)
-    if rank_hint is not None and 8 * rank_hint <= n and n >= _RESTRICTED_MIN_N:
-        evals, evecs = scipy.linalg.eigh(
-            gram, driver="evr", subset_by_value=(lam * lam, np.inf),
-            overwrite_a=True, check_finite=False,
-        )
+    if n >= _NUMPY_EIGH_MIN_N:
+        evals, evecs = np.linalg.eigh(gram)
     else:
         evals, evecs = scipy.linalg.eigh(
             gram, driver="evd", overwrite_a=True, check_finite=False
         )
-        # eigenvalues ascend, so the kept ones are a suffix
-        first = int(np.searchsorted(evals, lam * lam, side="right"))
-        evals, evecs = evals[first:], evecs[:, first:]
+    # eigenvalues ascend, so the kept ones are a suffix
+    first = int(np.searchsorted(evals, lam * lam, side="right"))
+    evals, evecs = evals[first:], evecs[:, first:]
     if evals.size and lam * _GRAM_RTOL < _EPS * np.sqrt(n * evals[-1]):
         u, s, vt = _full_svd(a)
         shrunk = np.maximum(s - lam, 0.0)
@@ -413,9 +407,8 @@ def solve_weighted_nuclear(
     ``init_nuclear``, when given, is taken as the nuclear norm of ``init``
     instead of recomputing it.
 
-    Each SVT after the first is told the previous SVT's kept rank as its
-    rank hint.  The loop holds three full-size buffers and allocates no
-    other full-size array: the iterate x_k; ``previous``, which holds
+    The loop holds three full-size buffers and allocates no other
+    full-size array: the iterate x_k; ``previous``, which holds
     x_{k-1}, becomes the point y in place, then holds y - x_new, the
     objective's temporary and the change; and ``spare``, which holds the
     blend until the SVT overwrites it with x_new.  The copy of ``init`` is
@@ -441,7 +434,6 @@ def solve_weighted_nuclear(
     previous, spare = np.empty(current.shape), np.empty(current.shape)
 
     obj = weighted_nuclear_objective(prob, current, nuc, out=spare)
-    rank = None  # the first SVT has no hint
     t = 1.0
     for n_iter in range(1, max_iter + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -455,9 +447,7 @@ def solve_weighted_nuclear(
         blended *= prob.weights
         blended /= w_max
         blended += point
-        new, new_nuc, rank, new_sq = _svt_with_diagnostics(
-            blended, threshold, rank_hint=rank, out=blended
-        )
+        new, new_nuc, _, new_sq = _svt_with_diagnostics(blended, threshold, out=blended)
         uphill = False
         if beta > 0:  # (y - x_new) . (x_new - x_k) > 0
             gap = np.subtract(point, new, out=previous)

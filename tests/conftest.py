@@ -182,7 +182,7 @@ def gaussian_prox_gradient_reference(frame, links, dictionary, lam1, lam2,
     return best
 
 
-def reference_accelerated_em(prob, tol, max_iter, init=None, rank_hints=True):
+def reference_accelerated_em(prob, tol, max_iter, init=None):
     """The accelerated EM as a plain loop with fresh arrays each iteration.
 
     FISTA from t = 1: each step blends the targets into the point
@@ -191,10 +191,8 @@ def reference_accelerated_em(prob, tol, max_iter, init=None, rank_hints=True):
     penalty / (2 max w).  An extrapolated step whose objective is above the
     current one is dropped and t reset to 1, so the next step is the plain
     one from x_k; an accepted one with (y - x_new) . (x_new - x_k) > 0 also
-    resets t to 1.  Each SVT counts as an iteration and, with ``rank_hints``,
-    is told the previous SVT's kept rank.  The arithmetic is the solver's,
-    so with hints the two agree bit for bit; without, every SVT is a full
-    eigendecomposition.
+    resets t to 1.  Each SVT counts as an iteration.  The arithmetic is the
+    solver's, so the two agree bit for bit.
     Returns (iterate, nuclear norm, iterations, converged).
     """
     weights, targets = prob.weights, prob.targets
@@ -211,15 +209,13 @@ def reference_accelerated_em(prob, tol, max_iter, init=None, rank_hints=True):
         nuc = float(np.linalg.svd(current, compute_uv=False).sum())
     previous = current
     obj = objective(current, nuc)
-    t, rank = 1.0, None
+    t = 1.0
     for n_iter in range(1, max_iter + 1):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         point = current + (current - previous) * beta if beta > 0 else current
         blended = (targets - point) * weights / w_max + point
-        new, new_nuc, rank, new_sq = subsolvers._svt_with_diagnostics(
-            blended, threshold, rank_hint=rank if rank_hints else None
-        )
+        new, new_nuc, _, new_sq = subsolvers._svt_with_diagnostics(blended, threshold)
         uphill = beta > 0 and np.vdot(point - new, new) > np.vdot(point - new, current)
         new_obj = objective(new, new_nuc)
         if beta > 0 and new_obj > obj:

@@ -362,6 +362,48 @@ class TestInputErrors:
         err = self._fit(capsys, data, schema, dict_path, tmp / "o")
         assert "error: corruption cells must be integers" in err
 
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            ({"type": "corruptions"},
+             "error: corruptions dictionary descriptor needs 'cells'"),
+            ({"type": "corruptions", "cells": [[0, 1], [2]]},
+             "error: malformed corruptions 'cells'"),
+            ({"type": "groups", "assignment": [[0], 1]},
+             "error: malformed groups 'assignment'"),
+            ({"type": "custom", "atoms": [[[0, 1]]]},
+             "error: malformed custom 'atoms'"),
+            ([{"type": "rowcol"}], "error: unknown dictionary type None"),
+        ],
+        ids=["no-cells", "ragged-cells", "ragged-assignment", "short-triplet", "array"],
+    )
+    def test_malformed_dictionary(self, workspace, capsys, descriptor, message):
+        tmp, data, schema, _ = workspace
+        dict_path = tmp / "bad.json"
+        dict_path.write_text(json.dumps(descriptor))
+        err = self._fit(capsys, data, schema, dict_path, tmp / "o")
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": {"type": "numeric", "sigma2": "x"}, "b": "numeric", '
+             '"c": "numeric", "d": "numeric"}',
+             "error: column 'a': sigma2 must be a number"),
+            ('{"a": 5, "b": "numeric", "c": "numeric", "d": "numeric"}',
+             "error: column 'a': unknown type None"),
+            ('["numeric"]', "error: schema must be a JSON object"),
+            ('{"a": ', "error: Expecting value"),
+        ],
+        ids=["string-sigma2", "number-spec", "array", "not-json"],
+    )
+    def test_malformed_schema(self, workspace, capsys, text, message):
+        tmp, data, _, dict_path = workspace
+        schema = tmp / "bad-schema.json"
+        schema.write_text(text)
+        err = self._fit(capsys, data, schema, dict_path, tmp / "o")
+        assert message in err
+
     def test_cv_empty_grid(self, workspace, capsys):
         tmp, data, schema, dict_path = workspace
         code = main([

@@ -298,17 +298,23 @@ SVT_IDS = [
 ]
 
 
-def spy_eigh_drivers(monkeypatch):
-    """Record the LAPACK driver of every ``scipy.linalg.eigh`` call."""
-    drivers = []
-    eigh = scipy.linalg.eigh
+def spy_eigensolvers(monkeypatch):
+    """Record which eigensolver decomposes each Gram matrix: scipy's ``eigh``
+    with its LAPACK driver, or numpy's ``eigh``."""
+    calls = []
+    scipy_eigh, numpy_eigh = scipy.linalg.eigh, np.linalg.eigh
 
-    def spy(*args, **kwargs):
-        drivers.append(kwargs.get("driver"))
-        return eigh(*args, **kwargs)
+    def spy_scipy(*args, **kwargs):
+        calls.append(f"scipy-{kwargs.get('driver')}")
+        return scipy_eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    return drivers
+    def spy_numpy(*args, **kwargs):
+        calls.append("numpy")
+        return numpy_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy_scipy)
+    monkeypatch.setattr(np.linalg, "eigh", spy_numpy)
+    return calls
 
 
 class TestSvt:
@@ -345,18 +351,19 @@ class TestSvt:
                 soft_threshold_singular_values(np.eye(2), bad)
 
     @pytest.mark.parametrize(
-        "shape, spectrum, threshold, fallback, hinted",
-        [case + (False,) for case in SVT_CASES] + [case + (True,) for case in SVT_CASES],
-        ids=SVT_IDS + [f"{name}-hinted" for name in SVT_IDS],
+        "shape, spectrum, threshold, fallback, eigensolver",
+        [case + ("scipy-evd",) for case in SVT_CASES]
+        + [case + ("numpy",) for case in SVT_CASES],
+        ids=SVT_IDS + [f"{name}-numpy" for name in SVT_IDS],
     )
     def test_matches_lapack_svt(
-        self, rng, monkeypatch, shape, spectrum, threshold, fallback, hinted
+        self, rng, monkeypatch, shape, spectrum, threshold, fallback, eigensolver
     ):
         """The Gram SVT (or its LAPACK fallback) equals a LAPACK SVT to 1e-12
         relative, shrink sums and rank included; the fallback runs exactly
-        where the threshold is too small a fraction of sigma_1.  The hinted
-        cases take the restricted eigensolver (rank hint min(m1, m2) // 8,
-        size floor lifted)."""
+        where the threshold is too small a fraction of sigma_1.  Each case
+        runs on both sides of the eigensolver boundary, moved above or below
+        its short side."""
         m1, m2 = shape
         if spectrum == "normal":
             a = rng.standard_normal(shape)
@@ -384,13 +391,11 @@ class TestSvt:
         monkeypatch.setattr(
             subsolvers, "_full_svd", lambda x: lapack_calls.append(1) or full_svd(x)
         )
-        hint = min(shape) // 8 if hinted else None
-        monkeypatch.setattr(subsolvers, "_RESTRICTED_MIN_N", 0)
-        drivers = spy_eigh_drivers(monkeypatch)
-        out, shrink_sum, rank, shrink_sq = subsolvers._svt_with_diagnostics(
-            a, lam, rank_hint=hint
-        )
-        assert drivers == ["evr" if hinted else "evd"]
+        boundary = 0 if eigensolver == "numpy" else min(shape) + 1
+        monkeypatch.setattr(subsolvers, "_NUMPY_EIGH_MIN_N", boundary)
+        calls = spy_eigensolvers(monkeypatch)
+        out, shrink_sum, rank, shrink_sq = subsolvers._svt_with_diagnostics(a, lam)
+        assert calls == [eigensolver]
         scale = svals[0]
         assert np.abs(out - expected).max() <= 1e-12 * scale
         assert abs(shrink_sum - shrunk.sum()) <= 1e-12 * max(scale, shrunk.sum())
@@ -398,37 +403,30 @@ class TestSvt:
         assert rank == int(np.sum(shrunk > 0))
         assert bool(lapack_calls) == fallback
         buffer = np.empty(shape)
-        again = subsolvers._svt_with_diagnostics(a, lam, rank_hint=hint, out=buffer)
+        again = subsolvers._svt_with_diagnostics(a, lam, out=buffer)
         assert again[0] is buffer
         np.testing.assert_array_equal(buffer, out)
         assert again[1:] == (shrink_sum, rank, shrink_sq)
-        if not hinted:
-            np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
+        np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
 
     @pytest.mark.parametrize(
-        "shape, hint, driver",
+        "shape, eigensolver",
         [
-            ((300, 250), None, "evd"),
-            ((300, 250), 0, "evr"),
-            ((300, 250), 31, "evr"),
-            ((300, 250), 32, "evd"),
-            ((250, 300), 31, "evr"),
-            ((300, 100), 12, "evr"),
-            ((300, 100), 13, "evd"),
-            ((300, 99), 1, "evd"),
-            ((40, 16), 0, "evd"),
+            ((300, 99), "scipy-evd"),
+            ((99, 300), "scipy-evd"),
+            ((300, 100), "numpy"),
+            ((100, 300), "numpy"),
         ],
+        ids=["99-tall", "99-wide", "100-tall", "100-wide"],
     )
-    def test_restricted_eigensolver_dispatch(self, rng, monkeypatch, shape, hint, driver):
-        """The restricted eigensolver runs exactly where 8 * rank_hint <= n
-        and n >= 100."""
+    def test_eigensolver_boundary(self, rng, monkeypatch, shape, eigensolver):
+        """A short side of 100 or more goes to numpy's eigh, a shorter one to
+        scipy's divide and conquer."""
         a = rng.standard_normal(shape)
-        drivers = spy_eigh_drivers(monkeypatch)
-        subsolvers._svt_with_diagnostics(a, 1.0, rank_hint=hint)
-        assert drivers == [driver]
-        drivers.clear()
+        calls = spy_eigensolvers(monkeypatch)
+        subsolvers._svt_with_diagnostics(a, 1.0)
         soft_threshold_singular_values(a, 1.0)
-        assert drivers == ["evd"]
+        assert calls == [eigensolver] * 2
 
     @given(seed=st.integers(0, 10_000), lam=st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -610,16 +608,16 @@ def traced_em(prob, monkeypatch, init=None, **kwargs):
     """Run the EM with its SVTs and objective evaluations recorded.
 
     Returns the solve, the initial objective, and one record per SVT:
-    (rank hint, kept rank, input, output, the solver's objective there).
+    (input, output, the solver's objective there).
     """
     svt = subsolvers._svt_with_diagnostics
     objective = subsolvers.weighted_nuclear_objective
     calls, values = [], []
 
-    def spy_svt(a, lam, rank_hint=None, out=None):
+    def spy_svt(a, lam, out=None):
         blend = a.copy()  # the SVT may write its output over its input
-        result = svt(a, lam, rank_hint=rank_hint, out=out)
-        calls.append((rank_hint, result[2], blend, result[0].copy()))
+        result = svt(a, lam, out=out)
+        calls.append((blend, result[0].copy()))
         return result
 
     def spy_objective(*args, **kw):
@@ -635,8 +633,8 @@ def traced_em(prob, monkeypatch, init=None, **kwargs):
 
 
 class TestEmBuffers:
-    """The EM's buffer reuse changes no answer, its rank hints change only
-    rounding, and its acceleration never loses to plain EM."""
+    """The EM's buffer reuse changes no answer, its acceleration never loses
+    to plain EM, and at this size its BLAS work stays in numpy's pool."""
 
     @staticmethod
     def low_rank_problem(seed=0):
@@ -650,10 +648,8 @@ class TestEmBuffers:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_matches_reference_loop(self, warm):
-        """Bit for bit the accelerated loop on fresh arrays.  Without rank
-        hints the eigensolver differs in rounding, which can flip a restart,
-        so that loop is held to the objective only.  Against plain EM: no
-        higher objective and no more iterations."""
+        """Bit for bit the accelerated loop on fresh arrays.  Against plain
+        EM: no higher objective and no more iterations."""
         prob, init = self.low_rank_problem()
         init = init if warm else None
         expected, nuc, n_iter, converged = reference_accelerated_em(
@@ -666,9 +662,6 @@ class TestEmBuffers:
         assert res.nuclear == nuc
 
         value = weighted_nuclear_objective(prob, res.matrix)
-        unhinted = reference_accelerated_em(prob, 1e-8, 500, init, rank_hints=False)
-        other = weighted_nuclear_objective(prob, unhinted[0])
-        assert unhinted[3] and abs(value - other) <= 1e-12 * max(1.0, abs(other))
         plain, plain_iter = reference_em(prob, 1e-8, 500, init)
         bound = weighted_nuclear_objective(prob, plain)
         assert value <= bound + 1e-12 * max(1.0, abs(bound))
@@ -700,7 +693,7 @@ class TestEmBuffers:
             prob, monkeypatch, init=init, tol=1e-8, max_iter=500
         )
         accepted, values, restarts, must_be_plain = init, [value], 0, True
-        for _, _, blend, out, value in steps:
+        for blend, out, value in steps:
             plain = np.array_equal(blend, plain_blend(prob, accepted))
             assert plain or not must_be_plain
             if not plain and value > values[-1]:
@@ -716,21 +709,23 @@ class TestEmBuffers:
         fresh += prob.penalty * nuclear_norm(accepted)
         assert values[-1] == pytest.approx(fresh, rel=1e-12)
 
-    def test_rank_hint_is_previous_kept_rank(self, monkeypatch):
-        """Every SVT, a restart's plain step included, is told the kept rank
-        of the SVT before it."""
-        prob, _ = self.low_rank_problem()
-        res, _, steps = traced_em(prob, monkeypatch, tol=1e-8, max_iter=500)
-        assert res.converged and len(steps) == res.n_iter > 1
-        hints, ranks = [s[0] for s in steps], [s[1] for s in steps]
-        assert hints == [None] + ranks[:-1]
-        # a restart: a later step whose input is the blend at the iterate
-        # the step before it started from
-        restarted = [
-            k for k in range(2, len(steps))
-            if np.array_equal(steps[k][2], plain_blend(prob, steps[k - 2][3]))
-        ]
-        assert restarted
+    def test_calls_no_scipy_linalg(self, monkeypatch):
+        """scipy bundles its own OpenBLAS, a second thread pool, so at a short
+        side of 100 or more the EM calls no ``scipy.linalg`` function."""
+        prob, init = self.low_rank_problem()
+        called = []
+
+        def spy(name, fn):
+            return lambda *args, **kw: called.append(name) or fn(*args, **kw)
+
+        for name in dir(scipy.linalg):
+            fn = getattr(scipy.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(scipy.linalg, name, spy(name, fn))
+        for warm in (None, init):
+            res = solve_weighted_nuclear(prob, tol=1e-8, max_iter=500, init=warm)
+            assert res.converged and res.n_iter > 1
+        assert called == []
 
 
 class TestNonFiniteInputs:
