@@ -16,6 +16,16 @@ decrease (the rule's constants are ``SolverConfig`` class constants, and
 for a nonzero direction, which makes the objective trace nonincreasing.  A
 non-negative one within the rounding error of its terms is a zero step; a
 larger one raises ``InternalConsistencyError``.
+
+The L block's model is solved inexactly: its EM stops at a tolerance that
+follows the outer loop's progress, the forcing term of inexact proximal
+Newton methods (Lee, Sun & Saunders, 2014).  The first L-step's EM stops at
+``_EM_TOL_MAX``, each later one at the last outer iteration's relative
+objective change, clipped into [``nuclear_tol``, ``_EM_TOL_MAX``], and at
+``nuclear_tol`` once that change is down to ``eps_f``.  Any accepted EM
+iterate lowers the model, so the predicted decrease stays negative and the
+descent argument above is unchanged.  A fit converges only on an outer
+iteration whose EM ran at ``nuclear_tol``.
 """
 
 from __future__ import annotations
@@ -51,6 +61,8 @@ _ZERO_DIRECTION_RTOL = 1e-12
 # a step this short moves no iterate of a sane scale; the search gives up
 _STALL_FLOOR = 1e-12
 _EPS = float(np.finfo(float).eps)
+# the loosest EM tolerance of an L-step, and the first outer iteration's
+_EM_TOL_MAX = 1e-2
 
 
 @dataclass(frozen=True)
@@ -286,9 +298,12 @@ def _nuclear_model(weights, working, low_rank, config):
 def l_step(
     frame: MixedDataFrame, links, dictionary: Dictionary,
     state: FitState, config: SolverConfig,
-    nuclear_current: float | None = None,
+    nuclear_current: float | None = None, nuclear_tol: float | None = None,
 ) -> StepResult:
-    """One interactions update: weighted nuclear direction plus Armijo step."""
+    """One interactions update: weighted nuclear direction plus Armijo step.
+
+    The EM stops at ``nuclear_tol``, by default ``config.nuclear_tol``.
+    """
     weighted_working, prob = _nuclear_model(
         expfam.curvature_weights(state.x, frame, links),
         expfam.working_responses(state.x, frame, links),
@@ -296,9 +311,11 @@ def l_step(
     )
     if nuclear_current is None:
         nuclear_current = nuclear_norm(state.low_rank)
+    if nuclear_tol is None:
+        nuclear_tol = config.nuclear_tol
     solve = solve_weighted_nuclear(
         prob,
-        config.nuclear_tol,
+        nuclear_tol,
         config.nuclear_max_iter,
         init=state.low_rank,
         init_nuclear=nuclear_current,
@@ -337,7 +354,9 @@ def fit(
     """Alternate alpha and L updates from (0, 0) until the objective settles.
 
     Stops when the relative objective change over one outer iteration drops
-    to ``config.eps_f``, or after ``config.max_outer`` iterations (reported
+    to ``config.eps_f`` and that iteration's L-step EM ran at
+    ``config.nuclear_tol`` (see the module docstring for the looser EM
+    tolerances before), or after ``config.max_outer`` iterations (reported
     as ``converged=False``).  Any step failure aborts with the partial
     objective trace attached.
     """
@@ -359,6 +378,7 @@ def fit(
     steps = []
     converged = False
     n_iter = cap_hits = em_iters = 0
+    em_tol = max(config.nuclear_tol, _EM_TOL_MAX)
     try:
         for _ in range(config.max_outer):
             # rebuild the cached parameter matrix to stop incremental drift
@@ -371,7 +391,8 @@ def fit(
                 state, tau_a = res.state, res.tau
             if config.update_l:
                 res = l_step(
-                    frame, links, dictionary, state, config, nuclear_current=nuc
+                    frame, links, dictionary, state, config, nuclear_current=nuc,
+                    nuclear_tol=em_tol,
                 )
                 state, tau_l = res.state, res.tau
                 nuc = res.nuclear_after
@@ -382,7 +403,14 @@ def fit(
             new_val = penalized(state, nuc)
             trace.append(new_val)
             steps.append((tau_a, tau_l))
-            converged = abs(current - new_val) <= config.eps_f * max(1.0, abs(current))
+            change, scale = abs(current - new_val), max(1.0, abs(current))
+            settled = change <= config.eps_f * scale
+            converged = settled and (
+                not config.update_l or em_tol == config.nuclear_tol
+            )
+            em_tol = config.nuclear_tol if settled else max(
+                config.nuclear_tol, min(_EM_TOL_MAX, change / scale)
+            )
             current = new_val
             if converged:
                 break

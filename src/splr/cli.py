@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -29,17 +29,14 @@ def _load_inputs(data_path, schema_path, dict_path):
     schema = mdf.read_schema(schema_path) if schema_path else None
     data = mdf.read_csv(data_path, schema=schema)
     links = mdf.default_links(data, schema)
-    with open(dict_path, "r", encoding="utf-8") as fh:
-        descriptor = json.load(fh)
-    dictionary = build_dictionary(descriptor, data.shape)
+    dictionary = build_dictionary(mdf.read_json(dict_path, "dictionary"), data.shape)
     return data, links, dictionary
 
 
 def _solver_config(lam1, lam2, config_path) -> SolverConfig:
-    overrides = {}
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+    overrides = mdf.read_json(config_path, "config") if config_path else {}
+    if not isinstance(overrides, dict):
+        raise SplrError("solver config must be a JSON object")
     known = {f.name for f in fields(SolverConfig)}
     bad = set(overrides) - known
     if bad:
@@ -157,11 +154,9 @@ def cmd_cv(data_path, schema_path, dict_path, n1, n2, folds, seed, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_simulate(design_path, seed, out_dir):
     """Draw one synthetic instance and write its frame and ground truth."""
-    with open(design_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    design = simulate.SimDesign.from_json_dict(mdf.read_json(design_path, "design"))
     if seed is not None:
-        payload["seed"] = seed
-    design = simulate.SimDesign(**payload)
+        design = replace(design, seed=seed)
     instance = simulate.simulate_instance(design)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,7 +206,7 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return EXIT_ERROR
-    except (SplrError, OSError, json.JSONDecodeError) as exc:
+    except (SplrError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
 

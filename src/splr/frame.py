@@ -144,10 +144,18 @@ def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:
     return links
 
 
+def read_json(path, what: str):
+    """Load one JSON input file; a syntax error names ``what`` and the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInputError(f"{exc} in {what} file {path}") from exc
+
+
 def read_schema(path) -> dict:
     """Load a schema sidecar; values may be bare type strings or objects."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "schema")
     if not isinstance(raw, dict):
         raise SchemaError("schema must be a JSON object")
     schema = {}

@@ -10,7 +10,7 @@ natural parameters and masked independently.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -71,6 +71,20 @@ class SimDesign:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, payload) -> SimDesign:
+        """The design a JSON object names; unknown or missing keys are errors."""
+        if not isinstance(payload, dict):
+            raise InvalidInputError("design must be a JSON object")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidInputError(f"unknown design keys: {unknown}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise InvalidInputError(f"design is missing keys: {missing}")
+        return cls(**payload)
 
 
 def design_dictionary(design: SimDesign) -> Dictionary:

@@ -25,8 +25,12 @@ raises the objective is dropped, the momentum resets, and the plain step
 from the current iterate follows (adaptive restart, O'Donoghue & Candes,
 2015), so the accepted iterates descend.  The momentum also resets after an
 accepted step that moved against the EM's step from its point (the same
-paper's gradient test), which spares most dropped steps.  Besides the
-problem's weights and targets the EM holds three full-size buffers.
+paper's gradient test), which spares most dropped steps.  The EM stops when
+an accepted step's gradient mapping ||x_new - y|| is small relative to the
+iterate: the step from its point, which unlike the change from the last
+iterate carries no momentum.  Its caller sets the tolerance; the outer
+solver runs early EMs loosely (see ``bcgd``).  Besides the problem's weights
+and targets the EM holds three full-size buffers.
 
 Singular value thresholding takes one eigendecomposition of the short-side
 Gram matrix instead of an SVD, and a LAPACK SVD where the threshold is too
@@ -401,18 +405,21 @@ def solve_weighted_nuclear(
     (y - x_new) . (x_new - x_k) > 0 moved against the EM's own step from y,
     so t goes back to 1 there too and the next step is plain.
 
-    Stops when the relative Frobenius change of the accepted iterate drops
-    to ``tol``; at the ``max_iter`` cap the current iterate is returned with
-    ``converged`` false, descent up to that point still guaranteed.
+    Stops when an accepted step's gradient mapping, ||x_new - y|| (the step
+    from its point, not from x_k, so it carries no momentum), drops to
+    ``tol`` * max(1, ||x_new||_F); after a plain step y = x_k and this is
+    the iterate's own change.  At the ``max_iter`` cap the current iterate is
+    returned with ``converged`` false, descent up to that point still
+    guaranteed.
     ``init_nuclear``, when given, is taken as the nuclear norm of ``init``
     instead of recomputing it.
 
     The loop holds three full-size buffers and allocates no other
     full-size array: the iterate x_k; ``previous``, which holds
     x_{k-1}, becomes the point y in place, then holds y - x_new, the
-    objective's temporary and the change; and ``spare``, which holds the
-    blend until the SVT overwrites it with x_new.  The copy of ``init`` is
-    the first iterate, so no caller array is written.
+    objective's temporary and, after a plain step, the change; and
+    ``spare``, which holds the blend until the SVT overwrites it with x_new.
+    The copy of ``init`` is the first iterate, so no caller array is written.
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
@@ -452,6 +459,7 @@ def solve_weighted_nuclear(
         if beta > 0:  # (y - x_new) . (x_new - x_k) > 0
             gap = np.subtract(point, new, out=previous)
             uphill = float(np.vdot(gap, new)) > float(np.vdot(gap, current))
+            step = float(np.linalg.norm(gap))
         new_obj = weighted_nuclear_objective(prob, new, new_nuc, out=previous)
         if beta > 0 and new_obj > obj:
             t = 1.0  # restart: the next iteration steps plainly from x_k
@@ -460,11 +468,11 @@ def solve_weighted_nuclear(
             raise InternalConsistencyError(
                 f"EM step increased the objective: {obj} -> {new_obj}"
             )
-        change = np.subtract(new, current, out=previous)
-        rel_change = float(np.linalg.norm(change) / max(1.0, np.sqrt(new_sq)))
+        if beta == 0:  # the point is x_k
+            step = float(np.linalg.norm(np.subtract(new, current, out=previous)))
         previous, current, spare = current, new, previous
         nuc, obj = new_nuc, new_obj
         t = 1.0 if uphill else t_next
-        if rel_change <= tol:
+        if step / max(1.0, np.sqrt(new_sq)) <= tol:
             return NuclearSolve(current, nuc, n_iter, True)
     return NuclearSolve(current, nuc, max_iter, False)

@@ -191,7 +191,8 @@ def reference_accelerated_em(prob, tol, max_iter, init=None):
     penalty / (2 max w).  An extrapolated step whose objective is above the
     current one is dropped and t reset to 1, so the next step is the plain
     one from x_k; an accepted one with (y - x_new) . (x_new - x_k) > 0 also
-    resets t to 1.  Each SVT counts as an iteration.  The arithmetic is the
+    resets t to 1.  Each SVT counts as an iteration, and the loop stops on an
+    accepted step's ||x_new - y|| / max(1, ||x_new||).  The arithmetic is the
     solver's, so the two agree bit for bit.
     Returns (iterate, nuclear norm, iterations, converged).
     """
@@ -221,7 +222,7 @@ def reference_accelerated_em(prob, tol, max_iter, init=None):
         if beta > 0 and new_obj > obj:
             t = 1.0
             continue
-        rel_change = np.linalg.norm(new - current) / max(1.0, np.sqrt(new_sq))
+        rel_change = np.linalg.norm(new - point) / max(1.0, np.sqrt(new_sq))
         previous, current, nuc, obj = current, new, new_nuc, new_obj
         t = 1.0 if uphill else t_next
         if rel_change <= tol:

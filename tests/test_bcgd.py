@@ -375,16 +375,42 @@ class TestFit:
 
 
 class TestRoundingZeroStep:
-    @pytest.mark.parametrize("seed", [291, 312])
-    def test_precision_floor_seeds_finish(self, seed):
-        """On these instances of criterion 1's generator the alpha step's
-        predicted decrease reaches +2e-15 at outer iteration 9, a rounding
-        difference of two l1 sums near 7 and 11: a zero step, not an abort."""
+    @staticmethod
+    def precision_floor_fit(seed):
         frame, links, dictionary, lam1, lam2 = _random_solver_instance(seed)
         config = SolverConfig(lam1=lam1, lam2=lam2, max_outer=15, eps_f=1e-14)
-        result = fit(frame, links, dictionary, config)
+        return fit(frame, links, dictionary, config)
+
+    @pytest.mark.parametrize("seed", [291, 312])
+    def test_precision_floor_seeds_finish(self, seed):
+        """These instances of criterion 1's generator run to the precision
+        floor (eps_f = 1e-14), where an alpha step's predicted decrease can
+        come out as a rounding difference of two l1 sums: the fit finishes
+        with a nonincreasing trace instead of aborting."""
+        result = self.precision_floor_fit(seed)
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+
+    @pytest.mark.parametrize("seed", [291, 576])
+    def test_fit_ends_on_rounding_zero_step(self, seed, monkeypatch):
+        """On these instances the last alpha step has a direction well above
+        the zero floor but a non-negative predicted decrease within rounding
+        (+2e-15 on seed 291, from l1 sums near 7 and 11): a zero step."""
+        armijo, last = bcgd._armijo, {}
+
+        def spy(frame, links, state, config, name, block, direction, *rest):
+            out = armijo(frame, links, state, config, name, block, direction, *rest)
+            if name == "alpha-step":
+                last["moved"] = out is not None
+                last["above_floor"] = np.linalg.norm(direction) > (
+                    bcgd._ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block))
+                )
+            return out
+
+        monkeypatch.setattr(bcgd, "_armijo", spy)
+        result = self.precision_floor_fit(seed)
         assert np.all(np.diff(result.objective_trace) <= 0.0)
         assert result.step_trace[-1][0] == 0.0
+        assert last == {"moved": False, "above_floor": True}
 
     @pytest.mark.parametrize("step", [alpha_step, l_step])
     def test_injected_decrease_above_bound_raises(self, rng, monkeypatch, step):
@@ -465,6 +491,83 @@ class TestNuclearCapHits:
         assert len(solves) == result.n_iter
         assert result.nuclear_iters == sum(s.n_iter for s in solves) > len(solves)
         assert result.report()["nuclear_iters"] == result.nuclear_iters
+
+
+class TestInexactLStep:
+    """The L-step's EM tolerance follows the outer loop (the forcing term)."""
+
+    @staticmethod
+    def spied_fit(monkeypatch, frame, links, d, config, init=None):
+        tols, solve = [], bcgd.solve_weighted_nuclear
+
+        def spy(prob, tol, *args, **kwargs):
+            tols.append(tol)
+            return solve(prob, tol, *args, **kwargs)
+
+        monkeypatch.setattr(bcgd, "solve_weighted_nuclear", spy)
+        result = fit(frame, links, d, config, init=init)
+        monkeypatch.undo()
+        return result, tols
+
+    @pytest.mark.parametrize("nuclear_tol", [1e-6, 1e-9])
+    def test_tolerance_follows_objective_change(self, monkeypatch, nuclear_tol):
+        frame, links, _ = make_mixed_instance(55, m1=20, m2=8, p_obs=0.7)
+        config = SolverConfig(lam1=0.3, lam2=0.15, nuclear_tol=nuclear_tol)
+        result, tols = self.spied_fit(
+            monkeypatch, frame, links, groups_dict(20, 8), config
+        )
+        assert result.converged and len(tols) == result.n_iter >= 3
+        assert bcgd._EM_TOL_MAX == 1e-2 and tols[0] == 1e-2
+        trace = result.objective_trace
+        for k in range(1, len(tols)):
+            delta = abs(trace[k - 1] - trace[k]) / max(1.0, abs(trace[k - 1]))
+            expected = (nuclear_tol if delta <= config.eps_f
+                        else np.clip(delta, nuclear_tol, 1e-2))
+            assert tols[k] == expected
+        assert tols[-1] == nuclear_tol
+        assert len(set(tols)) > 2  # loose, in between and tight
+
+    def test_tolerance_above_the_cap_is_kept(self, monkeypatch):
+        frame, links, _ = make_mixed_instance(55, m1=20, m2=8, p_obs=0.7)
+        config = SolverConfig(lam1=0.3, lam2=0.15, nuclear_tol=0.05, max_outer=4)
+        _, tols = self.spied_fit(
+            monkeypatch, frame, links, groups_dict(20, 8), config
+        )
+        assert tols == [0.05] * 4
+
+    def test_settled_loose_step_is_not_convergence(self, rng, monkeypatch):
+        """Warm-started at its own solution a fit settles at once, but its
+        first EM ran at 1e-2, so it takes one more outer iteration at
+        ``nuclear_tol`` before it reports convergence."""
+        frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
+        d = groups_dict(12, 6)
+        config = SolverConfig(lam1=0.3, lam2=0.2)
+        first = fit(frame, links, d, config)
+        assert first.converged
+        again, tols = self.spied_fit(
+            monkeypatch, frame, links, d, config,
+            init=(first.alpha_hat, first.l_hat),
+        )
+        assert again.converged and again.n_iter == 2
+        assert tols == [1e-2, config.nuclear_tol]
+        no_l = fit(frame, links, d, dataclasses.replace(config, update_l=False),
+                   init=(first.alpha_hat, first.l_hat))
+        assert no_l.converged and no_l.n_iter == 1
+
+    def test_l_step_defaults_to_config_tolerance(self, rng, monkeypatch):
+        frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
+        d = groups_dict(12, 6)
+        config = SolverConfig(lam1=0.3, lam2=0.2, nuclear_tol=1e-7)
+        state = bcgd.make_state(frame, links, d, np.zeros(d.n_atoms),
+                                np.zeros((12, 6)))
+        tols, solve = [], bcgd.solve_weighted_nuclear
+        monkeypatch.setattr(
+            bcgd, "solve_weighted_nuclear",
+            lambda prob, tol, *a, **k: tols.append(tol) or solve(prob, tol, *a, **k),
+        )
+        l_step(frame, links, d, state, config)
+        l_step(frame, links, d, state, config, nuclear_tol=1e-3)
+        assert tols == [1e-7, 1e-3]
 
 
 class TestLargeScale:

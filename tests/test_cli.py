@@ -314,16 +314,19 @@ class TestFitSummary:
 class TestInputErrors:
     """Bad inputs exit 1 with one ``error:`` line naming the cause."""
 
-    def _fit(self, capsys, data, schema, dict_path, out, *extra):
-        code = main([
-            "fit", "--data", str(data), "--schema", str(schema),
-            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
-            "--out", str(out), *extra,
-        ])
+    def _run(self, capsys, *args):
+        code = main(list(args))
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert "Traceback" not in err
         return err
+
+    def _fit(self, capsys, data, schema, dict_path, out, *extra):
+        return self._run(
+            capsys, "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
+            "--out", str(out), *extra,
+        )
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -333,6 +336,7 @@ class TestInputErrors:
             ({"nuclear_max_iter": 0}, "error: nuclear_max_iter must be an integer"),
             ({"lasso_tol": 0.0}, "error: lasso_tol must be finite and > 0"),
             ({"slope": 0.2}, "error: unknown solver config keys: ['slope']"),
+            ([{"max_outer": 1}], "error: solver config must be a JSON object"),
         ],
     )
     def test_bad_solver_config(self, workspace, capsys, overrides, message):
@@ -403,6 +407,38 @@ class TestInputErrors:
         schema.write_text(text)
         err = self._fit(capsys, data, schema, dict_path, tmp / "o")
         assert message in err
+
+    @pytest.mark.parametrize("which", ["schema", "dictionary", "config", "design"])
+    def test_json_syntax_error_names_file(self, workspace, capsys, which):
+        tmp, data, schema, dict_path = workspace
+        bad = tmp / f"bad-{which}.json"
+        bad.write_text('{"m1": 10,')
+        if which == "design":
+            err = self._run(capsys, "simulate", "--design", str(bad),
+                            "--out", str(tmp / "o"))
+        else:
+            paths = {"schema": schema, "dictionary": dict_path, which: bad}
+            extra = ("--config", str(bad)) if which == "config" else ()
+            err = self._fit(capsys, data, paths["schema"], paths["dictionary"],
+                            tmp / "o", *extra)
+        assert err.startswith("error: Expecting property name")
+        assert f"in {which} file {bad}" in err
+
+    @pytest.mark.parametrize(
+        "design, message",
+        [
+            ({"m1": 10, "m2": 4, "bogus": 1}, "unknown design keys: ['bogus']"),
+            ({"m1": 10, "m2": 4}, "design is missing keys: ['s', 'r', 'p_obs']"),
+            ([1, 2], "design must be a JSON object"),
+        ],
+        ids=["unknown-key", "missing-keys", "array"],
+    )
+    def test_malformed_design(self, tmp_path, capsys, design, message):
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design))
+        err = self._run(capsys, "simulate", "--design", str(path),
+                        "--out", str(tmp_path / "o"))
+        assert err == f"error: {message}\n"
 
     def test_cv_empty_grid(self, workspace, capsys):
         tmp, data, schema, dict_path = workspace

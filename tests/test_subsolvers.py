@@ -711,6 +711,36 @@ class TestEmBuffers:
         fresh += prob.penalty * nuclear_norm(accepted)
         assert values[-1] == pytest.approx(fresh, rel=1e-12)
 
+    def test_stops_on_the_step_from_the_point(self, monkeypatch):
+        """The last accepted step is extrapolated, from y = x_k + beta
+        (x_k - x_{k-1}), and the EM stops on ||x - y|| <= tol max(1, ||x||),
+        though the change from x_k, which carries the momentum, is larger."""
+        prob, init = self.low_rank_problem()
+        tol = 1e-8
+        res, value, steps = traced_em(
+            prob, monkeypatch, init=init, tol=tol, max_iter=500
+        )
+        assert res.converged
+        accepted, values = [init], [value]
+        for blend, out, value in steps:
+            if value <= values[-1] or np.array_equal(
+                blend, plain_blend(prob, accepted[-1])
+            ):
+                accepted.append(out)
+                values.append(value)
+        before, last = accepted[-3], accepted[-2]
+        blend, x = steps[-1][0], steps[-1][1]
+        np.testing.assert_array_equal(x, res.matrix)
+        # blend(y) - blend(x_k) = (1 - omega) o (y - x_k),
+        # and y - x_k = beta (x_k - x_{k-1})
+        shrink = 1.0 - prob.weights / prob.weights.max()
+        moved = shrink * (last - before)
+        beta = np.vdot(blend - plain_blend(prob, last), moved) / np.vdot(moved, moved)
+        assert beta > 0
+        point = last + beta * (last - before)
+        scale = tol * max(1.0, np.linalg.norm(x))
+        assert np.linalg.norm(x - point) <= scale < np.linalg.norm(x - last)
+
     def test_calls_no_scipy_linalg(self, monkeypatch):
         """scipy bundles its own OpenBLAS, a second thread pool, so at a short
         side of 100 or more the EM calls no ``scipy.linalg`` function."""
