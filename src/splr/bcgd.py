@@ -63,37 +63,38 @@ _STALL_FLOOR = 1e-12
 _EPS = float(np.finfo(float).eps)
 # the loosest EM tolerance of an L-step, and the first outer iteration's
 _EM_TOL_MAX = 1e-2
+# a fit's reported rank and support: relative singular-value and alpha cut-offs
+_RANK_RTOL = 1e-7
+_ALPHA_ZERO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Penalties, ridge, stopping rule, subsolver settings; fixed Armijo constants."""
+    """Penalties, stopping rule, subsolver settings; the rest are constants."""
 
     tau_init: ClassVar[float] = 1.0
     backtrack: ClassVar[float] = 0.5
     slope: ClassVar[float] = 0.1
+    nu: ClassVar[float] = 1e-2
+    lasso_max_iter: ClassVar[int] = 1000
 
     lam1: float
     lam2: float
-    nu: float = 1e-2
     eps_f: float = 1e-6
     max_outer: int = 200
     lasso_tol: float = 1e-8
-    lasso_max_iter: int = 1000
     nuclear_tol: float = 1e-6
     nuclear_max_iter: int = 100
-    update_alpha: bool = True
-    update_l: bool = True
 
     def __post_init__(self):
         for name, lam in (("lam1", self.lam1), ("lam2", self.lam2)):
             if not 0 <= lam < np.inf:
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {lam}")
-        for name in ("nu", "eps_f", "lasso_tol", "nuclear_tol"):
+        for name in ("eps_f", "lasso_tol", "nuclear_tol"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
                 raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
-        for name in ("max_outer", "lasso_max_iter", "nuclear_max_iter"):
+        for name in ("max_outer", "nuclear_max_iter"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise InvalidInputError(f"{name} must be an integer >= 1, got {value}")
@@ -114,8 +115,6 @@ class StepResult:
     state: FitState
     tau: float
     model_decrease: float
-    direction: np.ndarray
-    subproblem_solution: np.ndarray
     nuclear_after: float | None = None
     nuclear_capped: bool = False
     nuclear_iters: int = 0
@@ -137,14 +136,14 @@ class ModelFit:
     nuclear_cap_hits: int = 0
     nuclear_iters: int = 0
 
-    def rank(self, rel_tol: float = 1e-7) -> int:
+    def rank(self) -> int:
         svals = np.linalg.svd(self.l_hat, compute_uv=False)
         if svals.size == 0 or svals[0] == 0.0:
             return 0
-        return int(np.sum(svals > rel_tol * svals[0]))
+        return int(np.sum(svals > _RANK_RTOL * svals[0]))
 
-    def alpha_nonzeros(self, tol: float = 1e-8) -> int:
-        return int(np.sum(np.abs(self.alpha_hat) > tol))
+    def alpha_nonzeros(self) -> int:
+        return int(np.sum(np.abs(self.alpha_hat) > _ALPHA_ZERO_TOL))
 
     def report(self) -> dict:
         cfg = asdict(self.config)
@@ -274,10 +273,10 @@ def alpha_step(
         _EPS * (direction.size + 4),
     )
     if step is None:
-        return StepResult(state, 0.0, 0.0, np.zeros_like(direction), solution)
+        return StepResult(state, 0.0, 0.0)
     tau, model_decrease, x_new, f_new, _ = step
     new_state = FitState(state.alpha + tau * direction, state.low_rank, x_new, f_new)
-    return StepResult(new_state, tau, model_decrease, direction, solution)
+    return StepResult(new_state, tau, model_decrease)
 
 
 def _nuclear_model(weights, working, low_rank, config):
@@ -298,21 +297,17 @@ def _nuclear_model(weights, working, low_rank, config):
 def l_step(
     frame: MixedDataFrame, links, dictionary: Dictionary,
     state: FitState, config: SolverConfig,
-    nuclear_current: float | None = None, nuclear_tol: float | None = None,
+    nuclear_current: float, nuclear_tol: float,
 ) -> StepResult:
     """One interactions update: weighted nuclear direction plus Armijo step.
 
-    The EM stops at ``nuclear_tol``, by default ``config.nuclear_tol``.
+    ``nuclear_current`` is ||state.low_rank||_*; the EM stops at ``nuclear_tol``.
     """
     weighted_working, prob = _nuclear_model(
         expfam.curvature_weights(state.x, frame, links),
         expfam.working_responses(state.x, frame, links),
         state.low_rank, config,
     )
-    if nuclear_current is None:
-        nuclear_current = nuclear_norm(state.low_rank)
-    if nuclear_tol is None:
-        nuclear_tol = config.nuclear_tol
     solve = solve_weighted_nuclear(
         prob,
         nuclear_tol,
@@ -339,12 +334,10 @@ def l_step(
         _GRAM_RTOL,
     )
     if step is None:
-        return StepResult(state, 0.0, 0.0, np.zeros_like(direction), solution,
-                          nuclear_current, capped, iters)
+        return StepResult(state, 0.0, 0.0, nuclear_current, capped, iters)
     tau, model_decrease, x_new, f_new, nuclear_after = step
     new_state = FitState(state.alpha, state.low_rank + tau * direction, x_new, f_new)
-    return StepResult(new_state, tau, model_decrease, direction, solution,
-                      nuclear_after, capped, iters)
+    return StepResult(new_state, tau, model_decrease, nuclear_after, capped, iters)
 
 
 def fit(
@@ -385,29 +378,21 @@ def fit(
             state = make_state(
                 frame, links, dictionary, state.alpha, state.low_rank
             )
-            tau_a = tau_l = 0.0
-            if config.update_alpha:
-                res = alpha_step(frame, links, dictionary, state, config)
-                state, tau_a = res.state, res.tau
-            if config.update_l:
-                res = l_step(
-                    frame, links, dictionary, state, config, nuclear_current=nuc,
-                    nuclear_tol=em_tol,
-                )
-                state, tau_l = res.state, res.tau
-                nuc = res.nuclear_after
-                cap_hits += res.nuclear_capped
-                em_iters += res.nuclear_iters
-                del res  # free its full-size direction and EM solution now
+            res = alpha_step(frame, links, dictionary, state, config)
+            state, tau_a = res.state, res.tau
+            res = l_step(frame, links, dictionary, state, config, nuc, em_tol)
+            state, tau_l = res.state, res.tau
+            nuc = res.nuclear_after
+            cap_hits += res.nuclear_capped
+            em_iters += res.nuclear_iters
+            del res  # else its state keeps the old x alive through the next rebuild
             n_iter += 1
             new_val = penalized(state, nuc)
             trace.append(new_val)
             steps.append((tau_a, tau_l))
             change, scale = abs(current - new_val), max(1.0, abs(current))
             settled = change <= config.eps_f * scale
-            converged = settled and (
-                not config.update_l or em_tol == config.nuclear_tol
-            )
+            converged = settled and em_tol == config.nuclear_tol
             em_tol = config.nuclear_tol if settled else max(
                 config.nuclear_tol, min(_EM_TOL_MAX, change / scale)
             )

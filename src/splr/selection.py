@@ -34,22 +34,22 @@ _REDRAW_LIMIT = 20
 
 @dataclass(frozen=True)
 class LambdaGrid:
+    """Descending penalty grids from their anchors; a zero anchor's grid is [0]."""
+
     lambda1: np.ndarray
     lambda2: np.ndarray
     lambda1_max: float
     lambda2_max: float
-    degenerate1: bool = False
-    degenerate2: bool = False
 
     def __post_init__(self):
-        for name, arr, degen in (
-            ("lambda1", self.lambda1, self.degenerate1),
-            ("lambda2", self.lambda2, self.degenerate2),
+        for name, arr, anchor in (
+            ("lambda1", self.lambda1, self.lambda1_max),
+            ("lambda2", self.lambda2, self.lambda2_max),
         ):
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
                 raise InvalidInputError(f"{name} grid must be finite and non-empty")
-            if degen:
+            if anchor == 0.0:
                 if not np.array_equal(arr, [0.0]):
                     raise InvalidInputError(f"degenerate {name} grid must be [0]")
             else:
@@ -61,6 +61,8 @@ class LambdaGrid:
 
 
 def _geometric(anchor: float, length: int, decades: float) -> np.ndarray:
+    if anchor == 0.0:  # a degenerate grid
+        return np.array([0.0])
     return np.geomspace(anchor, anchor * 10.0 ** (-decades), length)
 
 
@@ -80,15 +82,11 @@ def default_grid(
     grad0 = expfam.gradient(np.zeros(frame.shape), frame, links)
     lam1_max = float(np.linalg.svd(grad0, compute_uv=False)[0])
     lam2_max = float(np.abs(dictionary.adjoint(grad0)).max())
-    degen1 = lam1_max == 0.0
-    degen2 = lam2_max == 0.0
     return LambdaGrid(
-        lambda1=np.array([0.0]) if degen1 else _geometric(lam1_max, n1, decades),
-        lambda2=np.array([0.0]) if degen2 else _geometric(lam2_max, n2, decades),
+        lambda1=_geometric(lam1_max, n1, decades),
+        lambda2=_geometric(lam2_max, n2, decades),
         lambda1_max=lam1_max,
         lambda2_max=lam2_max,
-        degenerate1=degen1,
-        degenerate2=degen2,
     )
 
 
@@ -206,8 +204,9 @@ def path_errors(
 ):
     """Warm-started fits over the whole grid; squared error on held-out cells.
 
-    Returns (error matrix, per-type error matrices, fits-by-pair) indexed by
-    (i1, i2) positions in the grid arrays.
+    Returns (error matrix, per-type error matrices, the fit at the pair that
+    ``choose_best`` picks), indexed by (i1, i2) positions in the grid arrays.
+    Only that fit is kept, since each holds dense m1 x m2 matrices.
     """
     rows, cols = holdout_coords[:, 0], holdout_coords[:, 1]
     assert not train_frame.mask[rows, cols].any(), "held-out cells leaked into training"
@@ -217,20 +216,22 @@ def path_errors(
     n1, n2 = len(grid.lambda1), len(grid.lambda2)
     errors = np.full((n1, n2), np.nan)
     per_type = {t: np.full((n1, n2), np.nan) for t in type_sel}
-    fits = {}
+    best = None
     warm = None
     for i1, lam1 in enumerate(grid.lambda1):
         for i2, lam2 in enumerate(grid.lambda2):
             cfg = replace(config, lam1=float(lam1), lam2=float(lam2))
             result = bcgd.fit(train_frame, links, dictionary, cfg, init=warm)
             warm = (result.alpha_hat, result.l_hat)
-            fits[(i1, i2)] = result
             mu = expfam.predicted_means(result.x_hat, links)[rows, cols]
             sq = (mu - y_true) ** 2
             errors[i1, i2] = float(sq.mean())
             for t, sel in type_sel.items():
                 per_type[t][i1, i2] = float(sq[sel].mean())
-    return errors, per_type, fits
+            # the unfilled errors are NaN, which choose_best skips
+            if choose_best(grid, errors) == (i1, i2):
+                best = result
+    return errors, per_type, best
 
 
 def choose_best(grid: LambdaGrid, mean_error: np.ndarray):
@@ -330,10 +331,9 @@ def holdout_select(
         config = bcgd.SolverConfig(lam1=0.0, lam2=0.0)
     train, held = draw_holdout(frame, holdout_frac, np.random.default_rng(seed))
     y_true = frame.values[held[:, 0], held[:, 1]]
-    errors, _, fits = path_errors(train, links, dictionary, grid, config, held, y_true)
+    errors, _, best = path_errors(train, links, dictionary, grid, config, held, y_true)
     i1, i2 = choose_best(grid, errors)
     lam1, lam2 = float(grid.lambda1[i1]), float(grid.lambda2[i2])
-    best = fits[(i1, i2)]
     refit = bcgd.fit(frame, links, dictionary, replace(config, lam1=lam1, lam2=lam2),
                      init=(best.alpha_hat, best.l_hat))
     return lam1, lam2, refit

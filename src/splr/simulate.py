@@ -10,6 +10,7 @@ natural parameters and masked independently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -27,6 +28,9 @@ from .frame import ColumnType, MixedDataFrame
 from .subsolvers import WeightedNuclearProblem, solve_weighted_nuclear
 
 _REDRAW_LIMIT = 20
+# the two-step comparator's soft-impute: relative-change tolerance, EM cap
+_BASELINE_TOL = 1e-5
+_BASELINE_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
@@ -47,8 +51,19 @@ class SimDesign:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m1", "m2", "s", "r", "n_groups", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        for name in ("p_obs", "ratio", "box", "sigma2"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not np.isfinite(value)):
+                raise InvalidInputError(f"{name} must be a finite real, got {value!r}")
         if self.m1 < 1 or self.m2 < 1:
             raise InvalidInputError("need positive dimensions")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.r <= min(self.m1, self.m2):
             raise InvalidInputError("rank must lie in [1, min(m1, m2)]")
         if not 0 < self.p_obs <= 1:
@@ -61,6 +76,8 @@ class SimDesign:
             raise InvalidInputError("structure must be groups|rowcol")
         if self.col_layout not in ("numeric", "mixed"):
             raise InvalidInputError("col_layout must be numeric|mixed")
+        if self.structure == "groups" and not 1 <= self.n_groups <= self.m1:
+            raise InvalidInputError(f"n_groups must lie in [1, {self.m1}]")
         n_atoms = (
             self.n_groups * self.m2
             if self.structure == "groups"
@@ -277,24 +294,21 @@ def _group_mean_residuals(frame: MixedDataFrame, dictionary):
 
 
 def group_mean_svt_baseline(
-    frame: MixedDataFrame,
-    dictionary: GroupEffectsDictionary,
-    lam: float,
-    tol: float = 1e-5,
-    max_iter: int = 300,
+    frame: MixedDataFrame, dictionary: GroupEffectsDictionary, lam: float
 ) -> BaselineFit:
     """Group means per column, then soft-impute completion of the residuals.
 
     The completion is ``solve_weighted_nuclear``, the L-step's EM, with the
     observation mask as 0/1 weights: it blends the observed residuals into
     the iterate and soft-thresholds at ``lam / 2`` until the relative change
-    drops to ``tol`` or ``max_iter`` iterations have run.  The data are
-    treated numerically regardless of declared column types; all predictions
-    live on the data scale.
+    drops to ``_BASELINE_TOL`` or ``_BASELINE_MAX_ITER`` iterations have run.
+    The data are treated numerically regardless of declared column types;
+    all predictions live on the data scale.
     """
     alpha, main, resid = _group_mean_residuals(frame, dictionary)
     solve = solve_weighted_nuclear(
-        WeightedNuclearProblem(frame.mask.astype(float), resid, lam), tol, max_iter
+        WeightedNuclearProblem(frame.mask.astype(float), resid, lam),
+        _BASELINE_TOL, _BASELINE_MAX_ITER,
     )
     return BaselineFit(
         alpha_hat=alpha, l_hat=solve.matrix, x_hat=main + solve.matrix,

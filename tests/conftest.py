@@ -106,6 +106,15 @@ def lone_cell_frame(m1=10, m2=3):
     )
 
 
+def record_results(monkeypatch, owner, name):
+    """Every result of ``owner.name`` for the rest of the test, in call order."""
+    results, original = [], getattr(owner, name)
+    monkeypatch.setattr(
+        owner, name, lambda *a, **k: results.append(original(*a, **k)) or results[-1]
+    )
+    return results
+
+
 def seed_whose_first_draw_empties(frame, holdout_frac, shift=0):
     """Smallest seed whose first plain draw (from seed + shift) holds out
     column 0's only observed cell."""

@@ -311,6 +311,10 @@ class TestFitSummary:
         )
 
 
+# a valid simulation design, for the malformed-design cases to alter
+_DESIGN = {"m1": 10, "m2": 4, "s": 1, "r": 1, "p_obs": 1.0}
+
+
 class TestInputErrors:
     """Bad inputs exit 1 with one ``error:`` line naming the cause."""
 
@@ -337,6 +341,12 @@ class TestInputErrors:
             ({"lasso_tol": 0.0}, "error: lasso_tol must be finite and > 0"),
             ({"slope": 0.2}, "error: unknown solver config keys: ['slope']"),
             ([{"max_outer": 1}], "error: solver config must be a JSON object"),
+            ({"nu": 0.1}, "error: unknown solver config keys: ['nu']"),
+            ({"lasso_max_iter": 5},
+             "error: unknown solver config keys: ['lasso_max_iter']"),
+            ({"update_alpha": False},
+             "error: unknown solver config keys: ['update_alpha']"),
+            ({"update_l": False}, "error: unknown solver config keys: ['update_l']"),
         ],
     )
     def test_bad_solver_config(self, workspace, capsys, overrides, message):
@@ -430,8 +440,17 @@ class TestInputErrors:
             ({"m1": 10, "m2": 4, "bogus": 1}, "unknown design keys: ['bogus']"),
             ({"m1": 10, "m2": 4}, "design is missing keys: ['s', 'r', 'p_obs']"),
             ([1, 2], "design must be a JSON object"),
+            ({**_DESIGN, "m1": "10"}, "m1 must be an integer, got '10'"),
+            ({**_DESIGN, "p_obs": "0.5"}, "p_obs must be a finite real, got '0.5'"),
+            ({**_DESIGN, "seed": "x"}, "seed must be an integer, got 'x'"),
+            ({**_DESIGN, "m1": 10.5}, "m1 must be an integer, got 10.5"),
+            ({**_DESIGN, "n_groups": 0}, "n_groups must lie in [1, 10]"),
+            ({**_DESIGN, "m1": True}, "m1 must be an integer, got True"),
+            ({**_DESIGN, "seed": -1}, "seed must be >= 0, got -1"),
         ],
-        ids=["unknown-key", "missing-keys", "array"],
+        ids=["unknown-key", "missing-keys", "array", "string-int", "string-float",
+             "string-seed", "fractional-int", "zero-groups", "bool-int",
+             "negative-seed"],
     )
     def test_malformed_design(self, tmp_path, capsys, design, message):
         path = tmp_path / "design.json"

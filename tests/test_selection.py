@@ -1,6 +1,5 @@
 """Penalty anchors and cross-validation mechanics."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +20,7 @@ from splr.selection import LambdaGrid, cross_validate, default_grid, holdout_sel
 from conftest import (
     lone_cell_frame,
     make_mixed_instance,
+    record_results,
     seed_whose_first_draw_empties,
 )
 
@@ -54,7 +54,7 @@ class TestDefaultGrid:
             np.ones((3, 2), dtype=bool),
         )
         grid = default_grid(frame, [LinkSpec.gaussian()] * 2, groups_dict(3, 2, 1))
-        assert grid.degenerate1 and grid.degenerate2
+        assert grid.lambda1_max == grid.lambda2_max == 0.0
         np.testing.assert_array_equal(grid.lambda1, [0.0])
         np.testing.assert_array_equal(grid.lambda2, [0.0])
 
@@ -79,22 +79,23 @@ class TestDefaultGrid:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_anchors_are_zero_thresholds(self, seed):
-        """Fitting just above either anchor pins that block at exactly zero."""
+        """Fitting just above both anchors pins both blocks at exactly zero;
+        just below either anchor, that block moves."""
         frame, links, _ = make_mixed_instance(seed + 50, m1=10, m2=6, p_obs=0.8)
         d = groups_dict(10, 6)
         grid = default_grid(frame, links, d)
-        cfg_l = SolverConfig(
-            lam1=grid.lambda1_max * 1.01, lam2=0.0,
-            update_alpha=False, max_outer=25,
-        )
-        res_l = bcgd.fit(frame, links, d, cfg_l)
-        assert np.abs(res_l.l_hat).max() <= 1e-8
-        cfg_a = SolverConfig(
-            lam1=0.0, lam2=grid.lambda2_max * 1.01,
-            update_l=False, max_outer=25,
-        )
-        res_a = bcgd.fit(frame, links, d, cfg_a)
-        assert np.abs(res_a.alpha_hat).max() <= 1e-8
+
+        def fit_at(scale1, scale2):
+            return bcgd.fit(frame, links, d, SolverConfig(
+                lam1=grid.lambda1_max * scale1, lam2=grid.lambda2_max * scale2,
+                max_outer=25,
+            ))
+
+        above = fit_at(1.01, 1.01)
+        assert np.abs(above.l_hat).max() <= 1e-8
+        assert np.abs(above.alpha_hat).max() <= 1e-8
+        assert np.abs(fit_at(0.99, 1.01).l_hat).max() > 1e-8
+        assert np.abs(fit_at(1.01, 0.99).alpha_hat).max() > 1e-8
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -102,6 +103,15 @@ class TestDefaultGrid:
                 lambda1=np.array([1.0, 2.0]),
                 lambda2=np.array([1.0]),
                 lambda1_max=2.0,
+                lambda2_max=1.0,
+            )
+
+    def test_zero_anchor_needs_the_zero_grid(self):
+        with pytest.raises(InvalidInputError, match="^degenerate lambda1 grid"):
+            LambdaGrid(
+                lambda1=np.array([2.0, 1.0]),
+                lambda2=np.array([1.0]),
+                lambda1_max=0.0,
                 lambda2_max=1.0,
             )
 
@@ -207,7 +217,7 @@ class TestCrossValidate:
         with pytest.raises(InvalidInputError):
             cross_validate(frame, links, d, grid, n_folds=2, seed=0)
 
-    def test_warm_start_matches_cold_fits(self, rng):
+    def test_warm_start_matches_cold_fits(self, rng, monkeypatch):
         """Path-warmed fits reach the same objective as cold fits."""
         frame, links = gaussian_frame(rng, 10, 5, p_obs=0.9)
         d = groups_dict(10, 5)
@@ -221,17 +231,32 @@ class TestCrossValidate:
             frame.column_names, frame.column_types, frame.values, train_mask
         )
         y_true = frame.values[held[:, 0], held[:, 1]]
-        _, _, fits = selection.path_errors(
-            train, links, d, grid, config, held, y_true
-        )
-        for (i1, i2), warm_fit in fits.items():
-            cfg = dataclasses.replace(
-                config, lam1=float(grid.lambda1[i1]), lam2=float(grid.lambda2[i2])
-            )
-            cold = bcgd.fit(train, links, d, cfg)
+        fits = record_results(monkeypatch, selection.bcgd, "fit")
+        selection.path_errors(train, links, d, grid, config, held, y_true)
+        monkeypatch.undo()
+        assert len(fits) == len(grid.lambda1) * len(grid.lambda2)
+        for warm_fit in fits:
+            cold = bcgd.fit(train, links, d, warm_fit.config)
             warm_obj = warm_fit.objective_trace[-1]
             cold_obj = cold.objective_trace[-1]
             assert warm_obj <= cold_obj + 1e-8 * max(1.0, abs(cold_obj))
+
+    def test_path_keeps_the_fit_at_the_chosen_pair(self, rng, monkeypatch):
+        frame, links = gaussian_frame(rng, 12, 5, p_obs=0.85)
+        d = groups_dict(12, 5)
+        grid = small_grid(frame, links, d, n=4)
+        train, held = selection.draw_holdout(frame, 0.25, np.random.default_rng(4))
+        y_true = frame.values[held[:, 0], held[:, 1]]
+        fits = record_results(monkeypatch, selection.bcgd, "fit")
+        errors, _, best = selection.path_errors(
+            train, links, d, grid, SolverConfig(lam1=0.0, lam2=0.0), held, y_true
+        )
+        i1, i2 = selection.choose_best(grid, errors)
+        assert 0 < i1 * len(grid.lambda2) + i2 < len(fits) - 1
+        assert best is fits[i1 * len(grid.lambda2) + i2]
+        assert (best.config.lam1, best.config.lam2) == (
+            grid.lambda1[i1], grid.lambda2[i2]
+        )
 
     def test_report_serialization(self, rng, tmp_path):
         frame, links = gaussian_frame(rng, 6, 4)
