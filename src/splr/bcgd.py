@@ -102,12 +102,18 @@ class SolverConfig:
 
 @dataclass
 class FitState:
-    """Current iterate with its cached parameter matrix and data-fit value."""
+    """Current iterate with its parameter matrix and data-fit value.
+
+    ``x`` is apply(alpha) + low_rank on the observed cells only: the flat
+    vector over ``obs.cells`` (``obs = expfam.observed(frame, links)``) that
+    every link evaluation and line-search trial reads.
+    """
 
     alpha: np.ndarray
     low_rank: np.ndarray
     x: np.ndarray
     data_fit: float
+    obs: expfam.ObservedCells
 
 
 @dataclass
@@ -179,20 +185,25 @@ def objective(
 def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
     alpha = np.asarray(alpha, dtype=float)
     low_rank = np.asarray(low_rank, dtype=float)
-    x = dictionary.apply(alpha) + low_rank
-    return FitState(alpha, low_rank, x, expfam.quasi_loglik_neg(x, frame, links))
+    x_full = dictionary.apply(alpha) + low_rank
+    if not np.isfinite(x_full).all():
+        raise InvalidInputError("parameter matrix contains non-finite entries")
+    obs = expfam.observed(frame, links)
+    x = x_full.take(obs.cells)
+    return FitState(alpha, low_rank, x,
+                    expfam.quasi_loglik_neg(x, frame, links, obs), obs)
 
 
-def _trial_data_fit(x, frame, links) -> float:
+def _trial_data_fit(x, frame, links, obs) -> float:
     # an overflowing trial point is simply a rejected step, not a user error
     try:
-        return expfam.quasi_loglik_neg(x, frame, links)
+        return expfam.quasi_loglik_neg(x, frame, links, obs)
     except InvalidInputError:
         return np.inf
 
 
 def _armijo(frame, links, state, config, name, block, direction, field,
-            lin, lin_abs, lam, pen_now, pen_at, norm_rtol):
+            lin, lin_abs, lam, pen_now, pen_at, pen_err, full_at):
     """The Armijo rule of both block steps (Tseng & Yun, 2009).
 
     Moving ``block`` by ``direction`` (``field`` in parameter space) has the
@@ -200,14 +211,18 @@ def _armijo(frame, links, state, config, name, block, direction, field,
     lin = sum(w * Z * field), ``lin_abs`` the absolute sum of its terms, and
     P(t) = ``pen_at(t)`` the penalty norm at block + t * direction (P(0) =
     ``pen_now``).  tau shrinks from ``tau_init`` until the objective beats
-    ``slope`` * tau times that.  Returns None for a zero step, else (tau, the
-    predicted decrease, the trial point x + tau * field, its data fit, P(tau)).
+    ``slope`` * tau times that.  A trial reads ``field`` on the observed
+    cells only; a tau that passes is taken only where the whole parameter
+    matrix there, ``full_at(tau)`` = apply(alpha) + L at the trial blocks,
+    is finite (the matrix the next ``make_state`` rebuilds).  Returns None
+    for a zero step, else (tau, the predicted decrease, the trial point on
+    the observed cells, its data fit, P(tau)).
 
     A zero step is a direction below ``_ZERO_DIRECTION_RTOL`` of the block, or
     a non-negative decrease within rounding: (N + 4) eps of the absolute sums
     (N = ``field.size``; a sum of N terms in any order errs by at most (N - 1)
-    eps of theirs) plus lam * ``norm_rtol`` * (P(0) + P(1)).  A decrease above
-    that raises ``InternalConsistencyError``.
+    eps of theirs) plus lam * ``pen_err``, a bound on the rounding error of
+    P(1) - P(0).  A decrease above that raises ``InternalConsistencyError``.
     """
     dir_norm = float(np.linalg.norm(direction))
     if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block)):
@@ -219,7 +234,7 @@ def _armijo(frame, links, state, config, name, block, direction, field,
     if model_decrease >= 0.0:
         bound = (
             _EPS * (field.size + 4) * (2.0 * lin_abs + config.nu * dir_norm**2)
-            + lam * norm_rtol * (pen_now + pen_full)
+            + lam * pen_err
         )
         if model_decrease <= bound:
             return None
@@ -229,12 +244,14 @@ def _armijo(frame, links, state, config, name, block, direction, field,
         )
 
     base = state.data_fit + lam * pen_now
+    field_obs = field.take(state.obs.cells)
     tau = config.tau_init
     while True:
-        x_trial = state.x + tau * field
-        f_trial = _trial_data_fit(x_trial, frame, links)
+        x_trial = state.x + tau * field_obs
+        f_trial = _trial_data_fit(x_trial, frame, links, state.obs)
         pen_trial = pen_at(tau)
-        if f_trial + lam * pen_trial <= base + tau * config.slope * model_decrease:
+        if (f_trial + lam * pen_trial <= base + tau * config.slope * model_decrease
+                and np.isfinite(full_at(tau)).all()):
             return tau, model_decrease, x_trial, f_trial, pen_trial
         tau *= config.backtrack
         if tau < _STALL_FLOOR:
@@ -254,8 +271,8 @@ def alpha_step(
     state: FitState, config: SolverConfig,
 ) -> StepResult:
     """One main-effects update: weighted-Lasso direction plus Armijo step."""
-    weights = expfam.curvature_weights(state.x, frame, links)
-    working = expfam.working_responses(state.x, frame, links)
+    weights = expfam.curvature_weights(state.x, frame, links, state.obs)
+    working = expfam.working_responses(state.x, frame, links, state.obs)
     targets = working + dictionary.apply(state.alpha)
     prob = WeightedLassoProblem(
         dictionary, weights, targets, config.nu, state.alpha, config.lam2
@@ -266,16 +283,23 @@ def alpha_step(
     field_d = dictionary.apply(direction)
     lin, lin_abs = _sums(weights * working * field_d)
     del weights, working  # full-size, and the line search needs neither
+    l1_now = float(np.abs(state.alpha).sum())
+
+    def l1_at(t):
+        return float(np.abs(state.alpha + t * direction).sum())
+
+    # a sum of n terms errs by at most (n - 1) eps of their absolute sum
     step = _armijo(
         frame, links, state, config, "alpha-step", state.alpha, direction,
-        field_d, lin, lin_abs, config.lam2, float(np.abs(state.alpha).sum()),
-        lambda t: float(np.abs(state.alpha + t * direction).sum()),
-        _EPS * (direction.size + 4),
+        field_d, lin, lin_abs, config.lam2, l1_now, l1_at,
+        _EPS * (direction.size + 4) * (l1_now + l1_at(1.0)),
+        lambda t: dictionary.apply(state.alpha + t * direction) + state.low_rank,
     )
     if step is None:
         return StepResult(state, 0.0, 0.0)
     tau, model_decrease, x_new, f_new, _ = step
-    new_state = FitState(state.alpha + tau * direction, state.low_rank, x_new, f_new)
+    new_state = FitState(state.alpha + tau * direction, state.low_rank,
+                         x_new, f_new, state.obs)
     return StepResult(new_state, tau, model_decrease)
 
 
@@ -304,8 +328,8 @@ def l_step(
     ``nuclear_current`` is ||state.low_rank||_*; the EM stops at ``nuclear_tol``.
     """
     weighted_working, prob = _nuclear_model(
-        expfam.curvature_weights(state.x, frame, links),
-        expfam.working_responses(state.x, frame, links),
+        expfam.curvature_weights(state.x, frame, links, state.obs),
+        expfam.working_responses(state.x, frame, links, state.obs),
         state.low_rank, config,
     )
     solve = solve_weighted_nuclear(
@@ -327,16 +351,20 @@ def l_step(
             return solve.nuclear
         return nuclear_norm(state.low_rank + t * direction)
 
-    # the nuclear norms come from the SVT or a LAPACK SVD, both good to _GRAM_RTOL
+    # P(1) is the EM's last shrink sum, good to _GRAM_RTOL of its SVT input's
+    # spectral norm, which that sum plus the SVT threshold bounds; P(0) and
+    # the other norms come from the SVT or a LAPACK SVD, good to _GRAM_RTOL
     step = _armijo(
         frame, links, state, config, "L-step", state.low_rank, direction,
         direction, lin, lin_abs, config.lam1, nuclear_current, nuclear_at,
-        _GRAM_RTOL,
+        _GRAM_RTOL * (nuclear_current + solve.nuclear + solve.threshold),
+        lambda t: dictionary.apply(state.alpha) + (state.low_rank + t * direction),
     )
     if step is None:
         return StepResult(state, 0.0, 0.0, nuclear_current, capped, iters)
     tau, model_decrease, x_new, f_new, nuclear_after = step
-    new_state = FitState(state.alpha, state.low_rank + tau * direction, x_new, f_new)
+    new_state = FitState(state.alpha, state.low_rank + tau * direction,
+                         x_new, f_new, state.obs)
     return StepResult(new_state, tau, model_decrease, nuclear_after, capped, iters)
 
 

@@ -148,11 +148,24 @@ class GroupEffectsDictionary(Dictionary):
         table = alpha.reshape(self.n_groups, self.shape[1])
         return table[self.assignment]  # fancy indexing copies
 
+    @cached_property
+    def _group_rows(self):
+        """The n_groups x m1 indicator of each group's rows, as CSR with each
+        group's rows ascending."""
+        # imported here: scipy.sparse adds about 13 ms to importing splr, and
+        # only group adjoints use it
+        import scipy.sparse
+
+        m1 = self.shape[0]
+        return scipy.sparse.csr_matrix(
+            (np.ones(m1), (self.assignment, np.arange(m1))), shape=(self.n_groups, m1)
+        )
+
     def adjoint(self, grad):
+        # CSR times dense adds each group's rows in ascending order, as
+        # np.add.at over the assignment would, so the sums are the same bits
         grad = self._check_grad(grad)
-        out = np.zeros((self.n_groups, self.shape[1]))
-        np.add.at(out, self.assignment, grad)
-        return out.ravel()
+        return (self._group_rows @ grad).ravel()
 
     def _atom_supports(self):
         m1, m2 = self.shape

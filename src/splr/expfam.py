@@ -7,16 +7,20 @@ the solver is the negative quasi-log-likelihood
     sum over observed (i, j) of  -Y_ij * X_ij + g_j(X_ij),
 
 together with its entrywise gradient and curvature.  Every quantity here
-works over one gather: the frame's flat row-major indices of its observed
-cells, split by distinct link, with the parameters and the data read at those
-cells.  Links are only ever evaluated there, so unobserved entries contribute
-exactly zero and masked cells can hold arbitrary parameter values without
-affecting results.
+works over one gather, ``observed(frame, links)``: the frame's observed
+cells grouped by distinct link, links in order of first use and each link's
+cells in row-major order, with the data read there.  It is built once per
+(frame, links) and cached on the frame.  The link functions take either the
+parameter matrix or its values at the gather's cells (the solver's iterate),
+and evaluate links only there, so unobserved entries contribute exactly zero
+and masked cells can hold arbitrary parameter values without affecting
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -102,38 +106,72 @@ class LinkSpec:
         return self.a * self.a * self._exp_ax(x)
 
 
-def _check_inputs(x, frame, links):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (frame.n_rows, frame.n_cols):
-        raise ShapeMismatchError(
-            f"parameter matrix shape {x.shape} != frame shape "
-            f"{(frame.n_rows, frame.n_cols)}"
-        )
+class ObservedCells(NamedTuple):
+    """A frame's observed cells grouped by link; every array read-only.
+
+    ``cells`` holds flat row-major indices i * n_cols + j and ``y`` the
+    frame's values there.  Each distinct link with an observed cell, in order
+    of first use, owns one slice of both, its cells in row-major order:
+    ``parts`` holds the (link, slice) pairs.
+    """
+
+    cells: np.ndarray
+    y: np.ndarray
+    parts: tuple
+
+
+def _group_cells(frame, links) -> ObservedCells:
+    """Build the gather; each link's cells are the mask's nonzeros in that
+    link's columns, so no per-cell owner array is formed."""
+    groups, parts, start = [], [], 0
+    for link in dict.fromkeys(links):
+        own = np.flatnonzero(frame.mask & [other == link for other in links])
+        if own.size:
+            groups.append(own)
+            parts.append((link, slice(start, start + own.size)))
+            start += own.size
+    cells = np.concatenate(groups)
+    y = frame.values.take(cells)
+    cells.setflags(write=False)
+    y.setflags(write=False)
+    return ObservedCells(cells, y, tuple(parts))
+
+
+def observed(frame, links) -> ObservedCells:
+    """The gather of ``frame``'s observed cells under ``links``, built on
+    first use and cached on the frame."""
     if len(links) != frame.n_cols:
         raise ShapeMismatchError(
             f"{len(links)} links given for {frame.n_cols} columns"
         )
+    cache, key = frame.observed_by_links, tuple(links)
+    obs = cache.get(key)
+    if obs is None:
+        obs = cache[key] = _group_cells(frame, key)
+    return obs
+
+
+def _by_link(x, frame, links, obs):
+    """Yield (link, flat cells, x there, y there) for each part of the
+    gather.  ``x`` is the parameter matrix, or with ``obs`` given its values
+    at ``obs.cells``."""
+    x = np.asarray(x, dtype=float)
+    if obs is None:
+        if x.shape != frame.shape:
+            raise ShapeMismatchError(
+                f"parameter matrix shape {x.shape} != frame shape {frame.shape}"
+            )
+        obs = observed(frame, links)
+    elif x.shape != obs.cells.shape:
+        raise ShapeMismatchError(
+            f"observed-cell vector shape {x.shape} != {obs.cells.shape}"
+        )
     if not np.isfinite(x).all():
         raise InvalidInputError("parameter matrix contains non-finite entries")
-    return x
-
-
-def _observed_by_link(x, frame, links):
-    """Yield (link, flat cells, x there, y there) once per distinct link
-    with an observed cell: links in order of first use, each link's cells
-    in row-major order."""
-    x = _check_inputs(x, frame, links)
-    cells = frame.observed_cells
-    distinct = {}
-    codes = np.array([distinct.setdefault(link, len(distinct)) for link in links])
-    if len(distinct) == 1:
-        yield links[0], cells, x.take(cells), frame.values.take(cells)
-        return
-    owner = codes[cells % frame.n_cols]
-    for link, code in distinct.items():
-        own = cells[owner == code]
-        if own.size:
-            yield link, own, x.take(own), frame.values.take(own)
+    if x.ndim == 2:
+        x = x.take(obs.cells)
+    for link, part in obs.parts:
+        yield link, obs.cells[part], x[part], obs.y[part]
 
 
 def _scatter(frame, parts):
@@ -144,10 +182,15 @@ def _scatter(frame, parts):
     return out.reshape(frame.shape)
 
 
-def quasi_loglik_neg(x, frame, links) -> float:
-    """Negative quasi-log-likelihood summed over observed entries."""
+def quasi_loglik_neg(x, frame, links, obs=None) -> float:
+    """Negative quasi-log-likelihood summed over observed entries.
+
+    Here and in ``curvature_weights`` and ``working_responses``, ``x`` is
+    the parameter matrix, or with ``obs = observed(frame, links)`` its values
+    at ``obs.cells``.
+    """
     total = 0.0
-    for link, _, xo, yo in _observed_by_link(x, frame, links):
+    for link, _, xo, yo in _by_link(x, frame, links, obs):
         total += float(np.sum(-yo * xo + link.g(xo)))
     return total
 
@@ -156,26 +199,26 @@ def gradient(x, frame, links) -> np.ndarray:
     """Entrywise gradient of the quasi-log-likelihood; zero where unobserved."""
     return _scatter(frame, [
         (cells, -yo + link.gprime(xo))
-        for link, cells, xo, yo in _observed_by_link(x, frame, links)
+        for link, cells, xo, yo in _by_link(x, frame, links, None)
     ])
 
 
-def curvature_weights(x, frame, links) -> np.ndarray:
+def curvature_weights(x, frame, links, obs=None) -> np.ndarray:
     """Per-entry quadratic-model weights g''(x)/2; zero where unobserved."""
     return _scatter(frame, [
         (cells, 0.5 * link.gsecond(xo))
-        for link, cells, xo, _ in _observed_by_link(x, frame, links)
+        for link, cells, xo, _ in _by_link(x, frame, links, obs)
     ])
 
 
-def working_responses(x, frame, links) -> np.ndarray:
+def working_responses(x, frame, links, obs=None) -> np.ndarray:
     """Newton-style targets (Y - g'(x)) / g''(x); zero where unobserved.
 
     Unobserved entries always carry zero weight downstream, so the value
     chosen there is inert.
     """
     parts = []
-    for link, cells, xo, yo in _observed_by_link(x, frame, links):
+    for link, cells, xo, yo in _by_link(x, frame, links, obs):
         curv = link.gsecond(xo)
         if np.any(curv < _CURVATURE_FLOOR):
             bad = divmod(int(cells[np.argmin(curv)]), frame.n_cols)

@@ -106,11 +106,10 @@ class MixedDataFrame:
         return filled
 
     @cached_property
-    def observed_cells(self) -> np.ndarray:
-        """Flat row-major indices i * n_cols + j of the observed cells; read-only."""
-        cells = np.flatnonzero(self.mask)
-        cells.setflags(write=False)
-        return cells
+    def observed_by_links(self) -> dict:
+        """``expfam.observed``'s cache: the observed cells grouped by link,
+        one entry per tuple of column links."""
+        return {}
 
     def __eq__(self, other):
         if not isinstance(other, MixedDataFrame):

@@ -46,6 +46,10 @@ class LambdaGrid:
             ("lambda1", self.lambda1, self.lambda1_max),
             ("lambda2", self.lambda2, self.lambda2_max),
         ):
+            if not 0 <= anchor < np.inf:
+                raise InvalidInputError(
+                    f"{name}_max must be finite and >= 0, got {anchor}"
+                )
             arr = np.asarray(arr, dtype=float)
             if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
                 raise InvalidInputError(f"{name} grid must be finite and non-empty")

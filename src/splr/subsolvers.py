@@ -366,12 +366,16 @@ def weighted_nuclear_objective(
 
 class NuclearSolve(NamedTuple):
     """EM result: the iterate, its nuclear norm (the last shrink sum), the
-    iterations run, and whether the stopping rule was met before the cap."""
+    iterations run, whether the stopping rule was met before the cap, and the
+    SVT threshold.  The shrink sum plus the threshold bounds the spectral
+    norm of the SVT input that gave the iterate, when it kept a value (else
+    the iterate and its shrink sum are exact zeros)."""
 
     matrix: np.ndarray
     nuclear: float
     n_iter: int
     converged: bool
+    threshold: float
 
 
 def solve_weighted_nuclear(
@@ -474,5 +478,5 @@ def solve_weighted_nuclear(
         nuc, obj = new_nuc, new_obj
         t = 1.0 if uphill else t_next
         if step / max(1.0, np.sqrt(new_sq)) <= tol:
-            return NuclearSolve(current, nuc, n_iter, True)
-    return NuclearSolve(current, nuc, max_iter, False)
+            return NuclearSolve(current, nuc, n_iter, True, threshold)
+    return NuclearSolve(current, nuc, max_iter, False, threshold)

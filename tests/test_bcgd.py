@@ -473,12 +473,44 @@ class TestRoundingZeroStep:
             return bcgd._armijo(
                 frame, links, state, config, "alpha-step", state.alpha,
                 direction, field, lin, lin_abs, lam, pen_now,
-                lambda t: pen_full if t == 1.0 else pen_now, norm_rtol,
+                lambda t: pen_full if t == 1.0 else pen_now,
+                norm_rtol * (pen_now + pen_full),
+                lambda t: d.apply(state.alpha + t * direction) + state.low_rank,
             )
 
         assert armijo(0.5 * bound) is None
         with pytest.raises(InternalConsistencyError, match="rounding bound"):
             armijo(2.0 * bound)
+
+
+class TestArmijoFiniteness:
+    def test_tau_with_a_non_finite_parameter_matrix_is_rejected(self, rng, monkeypatch):
+        """A tau that passes on the observed cells is still rejected where
+        the whole parameter matrix at its trial blocks is not finite, and
+        the search moves on to the next tau."""
+        frame, links = gaussian_frame(rng, 6, 4, p_obs=0.5)
+        d = groups_dict(6, 4)
+        config = SolverConfig(lam1=0.0, lam2=0.5)
+        state = bcgd.make_state(frame, links, d, np.zeros(d.n_atoms), np.zeros((6, 4)))
+        direction = np.full(d.n_atoms, 0.1)
+        unobserved = np.argwhere(~frame.mask)[0]
+        tried = []
+
+        def full_at(t):
+            tried.append(t)
+            full = d.apply(state.alpha + t * direction) + state.low_rank
+            if t == 1.0:
+                full[tuple(unobserved)] = np.inf
+            return full
+
+        # every trial's data fit passes the Armijo test
+        monkeypatch.setattr(bcgd, "_trial_data_fit", lambda *args: -np.inf)
+        step = bcgd._armijo(
+            frame, links, state, config, "alpha-step", state.alpha, direction,
+            d.apply(direction), 1.0, 1.0, config.lam2, 0.0,
+            lambda t: float(np.abs(t * direction).sum()), 0.0, full_at,
+        )
+        assert step[0] == 0.5 and tried == [1.0, 0.5]
 
 
 class TestNuclearCapHits:

@@ -117,6 +117,21 @@ class TestAdjoint:
         # atom (h=1, q=2) has index 1*3 + 2
         assert out[5] == pytest.approx(grad[[1, 3, 4], 2].sum())
 
+    @pytest.mark.parametrize("shape,n_groups", [((40, 7), 3), ((40, 7), 40), ((1, 3), 1)])
+    def test_group_adjoint_is_add_at_bit_for_bit(self, rng, shape, n_groups):
+        """Each group's rows are summed in ascending order, as np.add.at over
+        the assignment sums them, so every coordinate has the same bits; a
+        Fortran-ordered gradient included."""
+        m1, m2 = shape
+        assignment = rng.permutation(np.arange(m1) % n_groups)
+        d = GroupEffectsDictionary(assignment, shape)
+        grad = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+        grad[rng.random(shape) < 0.3] = 0.0
+        expected = np.zeros((n_groups, m2))
+        np.add.at(expected, assignment, grad)
+        assert np.array_equal(d.adjoint(grad), expected.ravel())
+        assert np.array_equal(d.adjoint(np.asfortranarray(grad)), expected.ravel())
+
     def test_corruption_coordinate_reads_cell(self, rng):
         d = CorruptionsDictionary([(2, 1)], (4, 3))
         grad = rng.standard_normal((4, 3))

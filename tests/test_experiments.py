@@ -94,6 +94,22 @@ class TestImputationStudy:
         # higher missingness = subset of the lower-missingness mask
         assert np.all(inst_b.frame.mask <= inst_a.frame.mask)
 
+    def test_refit_whose_em_barely_keeps_a_value_finishes(self):
+        """The holdout refit of one study instance (bench study-imputation
+        seed 143: ratio 1.0, 20% missing) starts at L = 0, and its first EM
+        keeps one singular value 1.2e-7 above a threshold of 20.5.  The
+        shrink sum is good to 1e-12 of that SVT input's spectral norm, not
+        of the 1.2e-7 norms, so a predicted decrease of +1.9e-15 is a zero
+        step, not an abort."""
+        design = SimDesign(
+            m1=150, m2=30, s=3, r=2, p_obs=0.8, ratio=1.0, n_groups=5,
+            col_layout="mixed", box=6.0, seed=4504658472824692134,
+        )
+        lam1, _, result = experiments._fit_ours_holdout(simulate_instance(design))
+        assert lam1 == pytest.approx(20.94, abs=5e-3)
+        assert np.isfinite(result.x_hat).all()
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+
 
 class TestComparatorHoldout:
     def test_a_draw_that_empties_a_column_is_redrawn(self, monkeypatch):

@@ -92,13 +92,53 @@ class TestPerColumnReference:
         [BERN, G1, BERN], np.array([[1, 0, 1], [0, 0, 1], [1, 0, 0]], bool), 3))
     # a single-link frame
     @example(case=link_instance([POIS] * 3, np.eye(3, dtype=bool), 4))
+    # equal links that are distinct objects, next to an unequal sigma2
+    @example(case=link_instance([G1, LinkSpec.gaussian(), G2, LinkSpec.gaussian(2.5)],
+                                np.ones((3, 4), bool), 5))
+    # a single column
+    @example(case=link_instance([BERN], np.array([[1], [0], [1], [1]], bool), 6))
     def test_bit_identical(self, case):
+        """The dense form, and the flat form on x's values at the gather's
+        cells, both give the reference's bits."""
         x, frame, links = case
         value, grad, weights, working = per_column_reference(x, frame, links)
         assert np.array_equal(expfam.quasi_loglik_neg(x, frame, links), value)
         assert np.array_equal(expfam.gradient(x, frame, links), grad)
         assert np.array_equal(expfam.curvature_weights(x, frame, links), weights)
         assert np.array_equal(expfam.working_responses(x, frame, links), working)
+        obs = expfam.observed(frame, links)
+        xo = x.take(obs.cells)
+        assert np.array_equal(expfam.quasi_loglik_neg(xo, frame, links, obs), value)
+        assert np.array_equal(expfam.curvature_weights(xo, frame, links, obs), weights)
+        assert np.array_equal(expfam.working_responses(xo, frame, links, obs), working)
+
+
+class TestGather:
+    @settings(max_examples=100, deadline=None)
+    @given(case=link_instances())
+    def test_cells_grouped_by_link(self, case):
+        """Every observed cell once; each distinct link's cells row-major in
+        one slice, links in order of first use; y the frame's values."""
+        _, frame, links = case
+        obs = expfam.observed(frame, links)
+        assert np.array_equal(np.sort(obs.cells), np.flatnonzero(frame.mask))
+        assert np.array_equal(obs.y, frame.values.take(obs.cells))
+        used = [link for link in dict.fromkeys(links)
+                if frame.mask[:, [j for j, o in enumerate(links) if o == link]].any()]
+        assert [link for link, _ in obs.parts] == used
+        for link, part in obs.parts:
+            cols = obs.cells[part] % frame.n_cols
+            assert all(links[j] == link for j in cols)
+            assert np.all(np.diff(obs.cells[part]) > 0)
+        assert expfam.observed(frame, list(links)) is obs
+
+    def test_flat_iterate_checked(self):
+        frame, links = single_cell_frame(1.0, ColumnType.NUMERIC), [G1]
+        obs = expfam.observed(frame, links)
+        with pytest.raises(ShapeMismatchError, match="observed-cell vector"):
+            expfam.quasi_loglik_neg(np.zeros(2), frame, links, obs)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            expfam.quasi_loglik_neg(np.array([np.inf]), frame, links, obs)
 
 
 class TestLinkSpec:

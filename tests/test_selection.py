@@ -115,6 +115,18 @@ class TestDefaultGrid:
                 lambda2_max=1.0,
             )
 
+    @pytest.mark.parametrize("anchors, name", [
+        ((np.nan, -3.0), "lambda1_max"),
+        ((2.0, -3.0), "lambda2_max"),
+        ((np.inf, 1.0), "lambda1_max"),
+        ((2.0, np.nan), "lambda2_max"),
+    ])
+    def test_non_finite_or_negative_anchor_rejected(self, anchors, name):
+        # a NaN anchor would reach CVReport.to_json as a bare NaN, not JSON
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):
+            LambdaGrid(lambda1=np.array([1.0]), lambda2=np.array([1.0]),
+                       lambda1_max=anchors[0], lambda2_max=anchors[1])
+
     @pytest.mark.parametrize(
         "bad", [[], [np.nan], [2.0, np.nan], [np.inf, 1.0], [[2.0, 1.0]]]
     )
@@ -285,6 +297,25 @@ class TestHoldoutSelect:
         assert result.config.lam1 == lam1
         # refit saw every observed entry
         assert result.x_hat.shape == frame.shape
+
+    def test_gather_built_once_per_frame(self, monkeypatch):
+        """The path's nine fits share one gather of the training frame's
+        observed cells; the refit reuses the full frame's, which the grid's
+        anchors built."""
+        frame, links, _ = make_mixed_instance(3, m1=12, m2=5, p_obs=0.85)
+        d = groups_dict(12, 5)
+        grid = small_grid(frame, links, d)
+        builds, group_cells = [], expfam._group_cells
+
+        def spy(built_frame, built_links):
+            builds.append(built_frame)
+            return group_cells(built_frame, built_links)
+
+        monkeypatch.setattr(expfam, "_group_cells", spy)
+        fits = record_results(monkeypatch, bcgd, "fit")
+        holdout_select(frame, links, d, grid, holdout_frac=0.25, seed=4)
+        assert len(fits) == 10
+        assert len(builds) == 1 and builds[0] is not frame
 
     def test_deterministic(self, rng):
         frame, links = gaussian_frame(rng, 10, 4, p_obs=0.9)
