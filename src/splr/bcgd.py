@@ -12,10 +12,12 @@ weighted Lasso and its L block as a weighted nuclear-norm problem, and then
 backtracks each block's step length by one Armijo rule (Tseng & Yun, 2009)
 until the true objective beats a fixed fraction of the model-predicted
 decrease (the rule's constants are ``SolverConfig`` class constants, and
-``_STALL_FLOOR`` ends a stalled search).  That decrease is strictly negative
-for a nonzero direction, which makes the objective trace nonincreasing.  A
-non-negative one within the rounding error of its terms is a zero step; a
-larger one raises ``InternalConsistencyError``.
+``_STALL_FLOOR`` ends a stalled search).  Each trial is a fresh iterate,
+built by ``make_state`` from its two blocks like the first one, so the
+parameter matrix and data fit that a step reads never drift from them.
+That decrease is strictly negative for a nonzero direction, which makes the
+objective trace nonincreasing.  A non-negative one within the rounding error
+of its terms is a zero step; a larger one raises ``InternalConsistencyError``.
 
 The L block's model is solved inexactly: its EM stops at a tolerance that
 follows the outer loop's progress, the forcing term of inexact proximal
@@ -102,11 +104,12 @@ class SolverConfig:
 
 @dataclass
 class FitState:
-    """Current iterate with its parameter matrix and data-fit value.
+    """An iterate with its parameter matrix and data-fit value; built only
+    by ``make_state``.
 
     ``x`` is apply(alpha) + low_rank on the observed cells only: the flat
     vector over ``obs.cells`` (``obs = expfam.observed(frame, links)``) that
-    every link evaluation and line-search trial reads.
+    every link evaluation reads.
     """
 
     alpha: np.ndarray
@@ -118,10 +121,13 @@ class FitState:
 
 @dataclass
 class StepResult:
+    """A block step's outcome; ``penalty`` is the block's penalty norm at
+    ``state``."""
+
     state: FitState
     tau: float
     model_decrease: float
-    nuclear_after: float | None = None
+    penalty: float
     nuclear_capped: bool = False
     nuclear_iters: int = 0
 
@@ -183,6 +189,8 @@ def objective(
 
 
 def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
+    """The iterate at (alpha, low_rank).  Raises ``InvalidInputError`` where
+    its parameter matrix has a non-finite entry or a link overflows there."""
     alpha = np.asarray(alpha, dtype=float)
     low_rank = np.asarray(low_rank, dtype=float)
     x_full = dictionary.apply(alpha) + low_rank
@@ -194,65 +202,59 @@ def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
                     expfam.quasi_loglik_neg(x, frame, links, obs), obs)
 
 
-def _trial_data_fit(x, frame, links, obs) -> float:
-    # an overflowing trial point is simply a rejected step, not a user error
-    try:
-        return expfam.quasi_loglik_neg(x, frame, links, obs)
-    except InvalidInputError:
-        return np.inf
-
-
-def _armijo(frame, links, state, config, name, block, direction, field,
-            lin, lin_abs, lam, pen_now, pen_at, pen_err, full_at):
+def _armijo(state, config, name, block, direction, lin, lin_abs, lam,
+            pen_now, pen_at, pen_err, state_at):
     """The Armijo rule of both block steps (Tseng & Yun, 2009).
 
-    Moving ``block`` by ``direction`` (``field`` in parameter space) has the
+    Moving ``block`` by ``direction`` (its field in parameter space) has the
     predicted decrease -2 lin + nu ||direction||^2 + lam (P(1) - P(0)), with
     lin = sum(w * Z * field), ``lin_abs`` the absolute sum of its terms, and
     P(t) = ``pen_at(t)`` the penalty norm at block + t * direction (P(0) =
-    ``pen_now``).  tau shrinks from ``tau_init`` until the objective beats
-    ``slope`` * tau times that.  A trial reads ``field`` on the observed
-    cells only; a tau that passes is taken only where the whole parameter
-    matrix there, ``full_at(tau)`` = apply(alpha) + L at the trial blocks,
-    is finite (the matrix the next ``make_state`` rebuilds).  Returns None
-    for a zero step, else (tau, the predicted decrease, the trial point on
-    the observed cells, its data fit, P(tau)).
+    ``pen_now``).  tau shrinks from ``tau_init`` until the objective at
+    ``state_at(tau)``, the ``make_state`` at block + tau * direction, beats
+    ``slope`` * tau times that; a trial that raises ``InvalidInputError`` (a
+    non-finite parameter matrix or a link overflow) is a rejected step.
+    Returns the ``StepResult`` at the accepted trial, or at ``state`` with
+    tau 0 for a zero step.
 
     A zero step is a direction below ``_ZERO_DIRECTION_RTOL`` of the block, or
     a non-negative decrease within rounding: (N + 4) eps of the absolute sums
-    (N = ``field.size``; a sum of N terms in any order errs by at most (N - 1)
-    eps of theirs) plus lam * ``pen_err``, a bound on the rounding error of
-    P(1) - P(0).  A decrease above that raises ``InternalConsistencyError``.
+    (N = ``state.low_rank.size``, the field's size; a sum of N terms in any
+    order errs by at most (N - 1) eps of theirs) plus lam * ``pen_err``, a
+    bound on the rounding error of P(1) - P(0).  A decrease above that raises
+    ``InternalConsistencyError``.
     """
     dir_norm = float(np.linalg.norm(direction))
     if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block)):
-        return None
-    pen_full = pen_at(1.0)
+        return StepResult(state, 0.0, 0.0, pen_now)
     model_decrease = (
-        -2.0 * lin + config.nu * dir_norm**2 + lam * (pen_full - pen_now)
+        -2.0 * lin + config.nu * dir_norm**2 + lam * (pen_at(1.0) - pen_now)
     )
     if model_decrease >= 0.0:
         bound = (
-            _EPS * (field.size + 4) * (2.0 * lin_abs + config.nu * dir_norm**2)
+            _EPS * (state.low_rank.size + 4)
+            * (2.0 * lin_abs + config.nu * dir_norm**2)
             + lam * pen_err
         )
         if model_decrease <= bound:
-            return None
+            return StepResult(state, 0.0, 0.0, pen_now)
         raise InternalConsistencyError(
             f"{name} predicted decrease {model_decrease:.3e} is not negative "
             f"for a nonzero direction (rounding bound {bound:.1e})"
         )
 
     base = state.data_fit + lam * pen_now
-    field_obs = field.take(state.obs.cells)
     tau = config.tau_init
     while True:
-        x_trial = state.x + tau * field_obs
-        f_trial = _trial_data_fit(x_trial, frame, links, state.obs)
-        pen_trial = pen_at(tau)
-        if (f_trial + lam * pen_trial <= base + tau * config.slope * model_decrease
-                and np.isfinite(full_at(tau)).all()):
-            return tau, model_decrease, x_trial, f_trial, pen_trial
+        try:
+            trial = state_at(tau)
+        except InvalidInputError:
+            pass
+        else:
+            pen_trial = pen_at(tau)
+            if (trial.data_fit + lam * pen_trial
+                    <= base + tau * config.slope * model_decrease):
+                return StepResult(trial, tau, model_decrease, pen_trial)
         tau *= config.backtrack
         if tau < _STALL_FLOOR:
             raise LineSearchStallError(
@@ -280,8 +282,7 @@ def alpha_step(
     solution = solve_weighted_lasso(prob, config.lasso_tol, config.lasso_max_iter)
     del targets, prob
     direction = solution - state.alpha
-    field_d = dictionary.apply(direction)
-    lin, lin_abs = _sums(weights * working * field_d)
+    lin, lin_abs = _sums(weights * working * dictionary.apply(direction))
     del weights, working  # full-size, and the line search needs neither
     l1_now = float(np.abs(state.alpha).sum())
 
@@ -289,18 +290,13 @@ def alpha_step(
         return float(np.abs(state.alpha + t * direction).sum())
 
     # a sum of n terms errs by at most (n - 1) eps of their absolute sum
-    step = _armijo(
-        frame, links, state, config, "alpha-step", state.alpha, direction,
-        field_d, lin, lin_abs, config.lam2, l1_now, l1_at,
+    return _armijo(
+        state, config, "alpha-step", state.alpha, direction, lin, lin_abs,
+        config.lam2, l1_now, l1_at,
         _EPS * (direction.size + 4) * (l1_now + l1_at(1.0)),
-        lambda t: dictionary.apply(state.alpha + t * direction) + state.low_rank,
+        lambda t: make_state(frame, links, dictionary,
+                             state.alpha + t * direction, state.low_rank),
     )
-    if step is None:
-        return StepResult(state, 0.0, 0.0)
-    tau, model_decrease, x_new, f_new, _ = step
-    new_state = FitState(state.alpha + tau * direction, state.low_rank,
-                         x_new, f_new, state.obs)
-    return StepResult(new_state, tau, model_decrease)
 
 
 def _nuclear_model(weights, working, low_rank, config):
@@ -340,8 +336,7 @@ def l_step(
         init_nuclear=nuclear_current,
     )
     del prob
-    solution, capped, iters = solve.matrix, not solve.converged, solve.n_iter
-    direction = solution - state.low_rank
+    direction = solve.matrix - state.low_rank
     lin, lin_abs = _sums(weighted_working * direction)
     del weighted_working  # full-size, and the line search does not need it
 
@@ -355,17 +350,14 @@ def l_step(
     # spectral norm, which that sum plus the SVT threshold bounds; P(0) and
     # the other norms come from the SVT or a LAPACK SVD, good to _GRAM_RTOL
     step = _armijo(
-        frame, links, state, config, "L-step", state.low_rank, direction,
-        direction, lin, lin_abs, config.lam1, nuclear_current, nuclear_at,
+        state, config, "L-step", state.low_rank, direction, lin, lin_abs,
+        config.lam1, nuclear_current, nuclear_at,
         _GRAM_RTOL * (nuclear_current + solve.nuclear + solve.threshold),
-        lambda t: dictionary.apply(state.alpha) + (state.low_rank + t * direction),
+        lambda t: make_state(frame, links, dictionary,
+                             state.alpha, state.low_rank + t * direction),
     )
-    if step is None:
-        return StepResult(state, 0.0, 0.0, nuclear_current, capped, iters)
-    tau, model_decrease, x_new, f_new, nuclear_after = step
-    new_state = FitState(state.alpha, state.low_rank + tau * direction,
-                         x_new, f_new, state.obs)
-    return StepResult(new_state, tau, model_decrease, nuclear_after, capped, iters)
+    step.nuclear_capped, step.nuclear_iters = not solve.converged, solve.n_iter
+    return step
 
 
 def fit(
@@ -402,18 +394,13 @@ def fit(
     em_tol = max(config.nuclear_tol, _EM_TOL_MAX)
     try:
         for _ in range(config.max_outer):
-            # rebuild the cached parameter matrix to stop incremental drift
-            state = make_state(
-                frame, links, dictionary, state.alpha, state.low_rank
-            )
             res = alpha_step(frame, links, dictionary, state, config)
             state, tau_a = res.state, res.tau
             res = l_step(frame, links, dictionary, state, config, nuc, em_tol)
             state, tau_l = res.state, res.tau
-            nuc = res.nuclear_after
+            nuc = res.penalty
             cap_hits += res.nuclear_capped
             em_iters += res.nuclear_iters
-            del res  # else its state keeps the old x alive through the next rebuild
             n_iter += 1
             new_val = penalized(state, nuc)
             trace.append(new_val)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -131,17 +131,7 @@ class CVReport:
             "per_type_at_best": self.per_type_at_best,
             "n_folds": self.n_folds,
             "seed": self.seed,
-            "cells": [
-                {
-                    "lambda1": c.lambda1,
-                    "lambda2": c.lambda2,
-                    "fold": c.fold,
-                    "error": c.error,
-                    "n_held_out": c.n_held_out,
-                    "per_type": c.per_type,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
         return json.dumps(payload, indent=2)
 

@@ -227,33 +227,19 @@ def weighted_lasso_kkt_residual(prob: WeightedLassoProblem, alpha) -> float:
     return float(kkt.max()) if kkt.size else 0.0
 
 
-def _run_blocks(runs, run_ptr, owner, active=None):
-    """One (atoms, entries, owner within atoms, atom count) block per run.
-
-    With ``active`` (sorted atom indices) each block keeps only those atoms
-    and their entries, and runs without one are left out.
-    """
-    blocks = []
-    for (start, stop), e0, e1 in zip(runs, run_ptr[:-1], run_ptr[1:]):
-        own = owner[e0:e1] - start if start else owner[e0:e1]
-        if active is not None:
-            lo, hi = np.searchsorted(active, (start, stop))
-            if hi - lo < stop - start:
-                if hi > lo:
-                    rank = np.full(stop - start, -1)
-                    rank[active[lo:hi] - start] = np.arange(hi - lo)
-                    at = rank[own]
-                    picked = np.flatnonzero(at >= 0)
-                    blocks.append((active[lo:hi], e0 + picked, at[picked], hi - lo))
-                continue
-        blocks.append((slice(start, stop), slice(e0, e1), own, stop - start))
-    return blocks
+def _run_blocks(runs, run_ptr, owner):
+    """One (atoms, entries, owner within atoms, atom count) block per run."""
+    return [
+        (slice(start, stop), slice(e0, e1),
+         owner[e0:e1] - start if start else owner[e0:e1], stop - start)
+        for (start, stop), e0, e1 in zip(runs, run_ptr[:-1], run_ptr[1:])
+    ]
 
 
 def solve_weighted_lasso(
     prob: WeightedLassoProblem, tol: float = 1e-8, max_iter: int = 1000
 ) -> np.ndarray:
-    """Cyclic block coordinate descent with active-set passes after the first sweep.
+    """Cyclic block coordinate descent, in full sweeps until the KKT stop.
 
     Each sweep visits the atoms in order, one run (see ``AtomSupports``) at a
     time.  The atoms of a run share no cell, so none of their cyclic updates
@@ -263,8 +249,8 @@ def solve_weighted_lasso(
 
     Returns the minimizer to KKT residual <= tol * max(1, ||2 A^T (W o Z)||_inf),
     the data term's gradient scale at zero (its rounding sets the floor the
-    residual can reach); raises ConvergenceError (carrying the final
-    residual) if ``max_iter`` sweeps are exhausted.
+    residual can reach), checked after every sweep; raises ConvergenceError
+    (carrying the final residual) if ``max_iter`` sweeps are exhausted.
     """
     if not tol > 0:
         raise InvalidInputError("tol must be > 0")
@@ -288,7 +274,9 @@ def solve_weighted_lasso(
     resid = _lasso_residual(prob, alpha).ravel()
     obj = weighted_lasso_objective(prob, alpha)
 
-    def cd_pass(blocks):
+    blocks = _run_blocks(sup.runs, run_ptr, owner)
+    kkt = np.inf
+    for _ in range(max_iter):
         for atoms, entries, own, size in blocks:
             at = cells[entries]
             dots = np.bincount(own, wv[entries] * resid[at], minlength=size)
@@ -297,13 +285,6 @@ def solve_weighted_lasso(
             new = np.sign(b) * np.maximum(np.abs(b) - lam / 2.0, 0.0) / q
             resid[at] -= (new - old)[own] * vals[entries]
             alpha[atoms] = new
-
-    all_blocks = _run_blocks(sup.runs, run_ptr, owner)
-    sweeps = 0
-    kkt = np.inf
-    while sweeps < max_iter:
-        cd_pass(all_blocks)
-        sweeps += 1
         new_obj = weighted_lasso_objective(prob, alpha)
         if new_obj > obj + 1e-9 * max(1.0, abs(obj)):
             raise InternalConsistencyError(
@@ -313,14 +294,6 @@ def solve_weighted_lasso(
         kkt = weighted_lasso_kkt_residual(prob, alpha)
         if kkt <= kkt_tol:
             return alpha
-        active = np.flatnonzero(alpha)
-        active_blocks = _run_blocks(sup.runs, run_ptr, owner, active)
-        while active.size and sweeps < max_iter:
-            before = alpha[active].copy()
-            cd_pass(active_blocks)
-            sweeps += 1
-            if np.max(np.abs(alpha[active] - before)) <= 0.1 * tol:
-                break
     raise ConvergenceError(
         f"weighted lasso did not reach KKT residual {kkt_tol:g} in {max_iter} sweeps "
         f"(final residual {kkt:.3e})",

@@ -21,6 +21,8 @@ from splr.exceptions import (
 )
 from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
+from splr.selection import default_grid
+from splr.simulate import SimDesign, simulate_instance
 from splr.subsolvers import nuclear_norm
 from conftest import (
     gaussian_prox_gradient_reference,
@@ -59,9 +61,9 @@ def spy_directions(monkeypatch):
     step's name ("alpha-step", "L-step")."""
     seen, armijo = {}, bcgd._armijo
 
-    def spy(frame, links, state, config, name, block, direction, *rest):
+    def spy(state, config, name, block, direction, *rest):
         seen[name] = direction.copy()
-        return armijo(frame, links, state, config, name, block, direction, *rest)
+        return armijo(state, config, name, block, direction, *rest)
 
     monkeypatch.setattr(bcgd, "_armijo", spy)
     return seen
@@ -177,7 +179,7 @@ class TestLStep:
         res = tight_l_step(frame, links, d, state, config)
         assert res.tau == 0.0
         assert res.model_decrease == 0.0
-        assert res.nuclear_after == 0.0
+        assert res.penalty == 0.0
 
     def test_unpenalized_descent(self, rng, monkeypatch):
         frame, links = gaussian_frame(rng, 7, 5)
@@ -363,6 +365,20 @@ class TestFit:
         assert len(err.value.trace) >= 1
         assert isinstance(err.value.__cause__, ConvergenceError)
 
+    def test_rowcol_lasso_reaches_kkt_stop(self):
+        """Row and column atoms overlap, so each Lasso takes several full
+        sweeps at the grid's smallest penalties; they reach the KKT stop well
+        inside the sweep budget, and the fit does not abort."""
+        design = SimDesign(m1=300, m2=30, s=10, r=3, p_obs=0.5, structure="rowcol",
+                           col_layout="mixed", box=4.0, seed=1)
+        inst = simulate_instance(design)
+        grid = default_grid(inst.frame, inst.links, inst.dictionary,
+                            n1=4, n2=4, decades=2.5)
+        config = SolverConfig(lam1=grid.lambda1[-1], lam2=grid.lambda2[-1],
+                              max_outer=1)
+        result = fit(inst.frame, inst.links, inst.dictionary, config)
+        assert result.n_iter == 1 and result.step_trace[0][0] > 0.0
+
     def test_nonconverged_flag(self, rng):
         frame, links = gaussian_frame(rng, 8, 5)
         d = groups_dict(8, 5)
@@ -420,10 +436,10 @@ class TestRoundingZeroStep:
         (+2e-15 on seed 291, from l1 sums near 7 and 11): a zero step."""
         armijo, last = bcgd._armijo, {}
 
-        def spy(frame, links, state, config, name, block, direction, *rest):
-            out = armijo(frame, links, state, config, name, block, direction, *rest)
+        def spy(state, config, name, block, direction, *rest):
+            out = armijo(state, config, name, block, direction, *rest)
             if name == "alpha-step":
-                last["moved"] = out is not None
+                last["moved"] = out.tau > 0.0
                 last["above_floor"] = np.linalg.norm(direction) > (
                     bcgd._ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block))
                 )
@@ -460,57 +476,78 @@ class TestRoundingZeroStep:
         state = bcgd.make_state(frame, links, d, np.ones(d.n_atoms),
                                 np.zeros((6, 4)))
         direction = np.full(d.n_atoms, 1e-3)
-        field = d.apply(direction)
         lin_abs, pen_now, pen_full, lam = 1.0, 10.0, 10.0 + 1e-13, 0.5
         nu_d2 = config.nu * float(np.sum(direction**2))
         bound = (
-            np.finfo(float).eps * (field.size + 4) * (2.0 * lin_abs + nu_d2)
+            np.finfo(float).eps * (state.low_rank.size + 4) * (2.0 * lin_abs + nu_d2)
             + lam * norm_rtol * (pen_now + pen_full)
         )
 
         def armijo(decrease):
             lin = (nu_d2 + lam * (pen_full - pen_now) - decrease) / 2.0
             return bcgd._armijo(
-                frame, links, state, config, "alpha-step", state.alpha,
-                direction, field, lin, lin_abs, lam, pen_now,
+                state, config, "alpha-step", state.alpha, direction, lin,
+                lin_abs, lam, pen_now,
                 lambda t: pen_full if t == 1.0 else pen_now,
                 norm_rtol * (pen_now + pen_full),
-                lambda t: d.apply(state.alpha + t * direction) + state.low_rank,
+                lambda t: bcgd.make_state(frame, links, d,
+                                          state.alpha + t * direction, state.low_rank),
             )
 
-        assert armijo(0.5 * bound) is None
+        zero = armijo(0.5 * bound)
+        assert zero.tau == 0.0 and zero.state is state and zero.penalty == pen_now
         with pytest.raises(InternalConsistencyError, match="rounding bound"):
             armijo(2.0 * bound)
 
 
 class TestArmijoFiniteness:
-    def test_tau_with_a_non_finite_parameter_matrix_is_rejected(self, rng, monkeypatch):
-        """A tau that passes on the observed cells is still rejected where
-        the whole parameter matrix at its trial blocks is not finite, and
-        the search moves on to the next tau."""
+    def test_tau_with_a_non_finite_parameter_matrix_is_rejected(self, rng):
+        """A trial whose parameter matrix is not finite, here at an
+        unobserved cell only, is a rejected step, and the search moves on
+        to the next tau."""
         frame, links = gaussian_frame(rng, 6, 4, p_obs=0.5)
         d = groups_dict(6, 4)
-        config = SolverConfig(lam1=0.0, lam2=0.5)
+        config = SolverConfig(lam1=0.0, lam2=0.0)
         state = bcgd.make_state(frame, links, d, np.zeros(d.n_atoms), np.zeros((6, 4)))
-        direction = np.full(d.n_atoms, 0.1)
-        unobserved = np.argwhere(~frame.mask)[0]
+        # a short step along the data's pull, which every tau passes unless rejected
+        y_obs = np.where(frame.mask, frame.y_filled, 0.0)
+        direction = 1e-3 * d.adjoint(y_obs)
+        lin = 0.5 * float(np.sum(y_obs * d.apply(direction)))
+        unobserved = tuple(np.argwhere(~frame.mask)[0])
         tried = []
 
-        def full_at(t):
+        def state_at(t):
             tried.append(t)
-            full = d.apply(state.alpha + t * direction) + state.low_rank
+            low_rank = state.low_rank.copy()
             if t == 1.0:
-                full[tuple(unobserved)] = np.inf
-            return full
+                low_rank[unobserved] = np.inf
+            return bcgd.make_state(frame, links, d, state.alpha + t * direction, low_rank)
 
-        # every trial's data fit passes the Armijo test
-        monkeypatch.setattr(bcgd, "_trial_data_fit", lambda *args: -np.inf)
         step = bcgd._armijo(
-            frame, links, state, config, "alpha-step", state.alpha, direction,
-            d.apply(direction), 1.0, 1.0, config.lam2, 0.0,
-            lambda t: float(np.abs(t * direction).sum()), 0.0, full_at,
+            state, config, "alpha-step", state.alpha, direction, lin, abs(lin),
+            config.lam2, 0.0, lambda t: float(np.abs(t * direction).sum()), 0.0,
+            state_at,
         )
-        assert step[0] == 0.5 and tried == [1.0, 0.5]
+        assert step.tau == 0.5 and tried == [1.0, 0.5]
+        np.testing.assert_array_equal(step.state.alpha, 0.5 * direction)
+
+    def test_overflowing_poisson_trial_backtracks(self, monkeypatch):
+        """A count of 1000 against a zero fit pulls the Newton direction past
+        a*x = 700 at that observed cell: the unit trial overflows the link,
+        is rejected, and the search backtracks to a finite descent step."""
+        y = np.array([[1000.0, 2.0], [1.0, 3.0], [2.0, 0.0]])
+        frame = MixedDataFrame(("a", "b"), (ColumnType.COUNT,) * 2, y,
+                               np.ones(y.shape, dtype=bool))
+        links = [LinkSpec.poisson()] * 2
+        d = CorruptionsDictionary([(0, 0)], y.shape)
+        config = SolverConfig(lam1=0.1, lam2=0.1)
+        state = bcgd.make_state(frame, links, d, np.zeros(1), np.zeros(y.shape))
+        directions = spy_directions(monkeypatch)
+        res = alpha_step(frame, links, d, state, config)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            bcgd.make_state(frame, links, d, directions["alpha-step"], state.low_rank)
+        assert 0.0 < res.tau < 0.5
+        assert res.state.data_fit < state.data_fit
 
 
 class TestNuclearCapHits:
