@@ -56,8 +56,9 @@ class LinkSpec:
             raise InvalidInputError(f"unknown link kind {self.kind!r}")
         if self.kind == GAUSSIAN and not 0 < self.sigma2 < np.inf:
             raise InvalidInputError("gaussian scale sigma2 must be finite and > 0")
-        if self.kind == POISSON and not (np.isfinite(self.a) and self.a != 0):
-            raise InvalidInputError("poisson rate-scale a must be finite and nonzero")
+        # a count's mean a * exp(a * x) must be positive
+        if self.kind == POISSON and not 0 < self.a < np.inf:
+            raise InvalidInputError("poisson rate-scale a must be finite and > 0")
 
     @classmethod
     def gaussian(cls, sigma2: float = 1.0) -> "LinkSpec":

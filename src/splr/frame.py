@@ -1,10 +1,12 @@
 """Mixed data frame: typed columns, observation mask, CSV ingestion/emission.
 
-File format: UTF-8 comma-separated values with a header row.  Empty cells and
-"NA" (any capitalization) mark missing entries.  Binary columns accept
+File format: UTF-8 comma-separated values (a byte-order mark is skipped) with
+a header row of distinct column names.  Empty cells and "NA" (any
+capitalization) mark missing entries.  Binary columns accept
 0/1/Yes/No/TRUE/FALSE.  An optional JSON schema sidecar maps column names to
 "numeric" | "binary" | "count", optionally with per-column link constants,
-e.g. {"income": {"type": "numeric", "sigma2": 2.0}}.
+e.g. {"income": {"type": "numeric", "sigma2": 2.0}}; each of its keys must
+name a column.
 """
 
 from __future__ import annotations
@@ -122,13 +124,23 @@ class MixedDataFrame:
         )
 
 
+def _column_specs(schema: dict | None, names) -> dict:
+    """``schema``'s entries, bare type strings as ``{"type": ...}``; a key
+    that names none of the columns ``names`` is an error."""
+    specs = {}
+    for key, spec in (schema or {}).items():
+        if key not in names:
+            raise SchemaError(f"schema key {key!r} names no column")
+        specs[key] = {"type": spec} if isinstance(spec, str) else spec
+    return specs
+
+
 def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:
     """Per-column LinkSpec from column types, honoring schema constants."""
+    specs = _column_specs(schema, frame.column_names)
     links = []
     for name, ctype in zip(frame.column_names, frame.column_types):
-        spec = (schema or {}).get(name, {})
-        if isinstance(spec, str):
-            spec = {"type": spec}
+        spec = specs.get(name, {})
         key = {ColumnType.NUMERIC: "sigma2", ColumnType.COUNT: "a"}.get(ctype)
         try:
             value = float(spec.get(key, 1.0))
@@ -145,7 +157,7 @@ def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:
 
 def read_json(path, what: str):
     """Load one JSON input file; a syntax error names ``what`` and the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -168,87 +180,80 @@ def read_schema(path) -> dict:
     return schema
 
 
-def _is_missing(token: str) -> bool:
-    return token.strip().lower() in _MISSING_TOKENS
+def _read_binary(token: str) -> float:
+    return _BINARY_TOKENS[token.lower()]
 
 
-def _parse_int(token: str):
-    token = token.strip()
+def _read_count(token: str) -> float:
+    if int(token) < 0:
+        raise ValueError(token)
+    # float of a decimal too large for a double is inf, which read_csv
+    # rejects; abs reads "-0" as 0.0
+    return abs(float(token))
+
+
+# each column type's token reader and what an error says of a token it cannot
+# read; inference tries the types in this order
+_READERS = {
+    ColumnType.BINARY: (_read_binary, "is not a binary value"),
+    ColumnType.COUNT: (_read_count, "is not a nonnegative integer"),
+    ColumnType.NUMERIC: (float, "is not numeric"),
+}
+
+
+def _read_tokens(tokens, ctype) -> list:
+    """Values of ``tokens`` up to the first one that ``ctype``'s reader cannot read."""
+    reader = _READERS[ctype][0]
+    values = []
     try:
-        return int(token)
-    except ValueError:
-        return None
+        for token in tokens:
+            values.append(reader(token))
+    except (KeyError, ValueError):
+        pass
+    return values
 
 
-def _parse_cell(token, ctype, row, col_name):
-    token = token.strip()
-    if ctype is ColumnType.BINARY:
-        val = _BINARY_TOKENS.get(token.lower())
-        if val is None:
-            raise IngestionError(
-                f"row {row}, column {col_name!r}: {token!r} is not a binary value",
-                row=row,
-                column=col_name,
-            )
-        return val
-    if ctype is ColumnType.COUNT:
-        val = _parse_int(token)
-        if val is None or val < 0:
-            raise IngestionError(
-                f"row {row}, column {col_name!r}: {token!r} is not a nonnegative "
-                "integer",
-                row=row,
-                column=col_name,
-            )
-        return float(val)
-    try:
-        val = float(token)
-    except ValueError:
-        raise IngestionError(
-            f"row {row}, column {col_name!r}: {token!r} is not numeric",
-            row=row,
-            column=col_name,
-        ) from None
-    if not np.isfinite(val):
-        raise IngestionError(
-            f"row {row}, column {col_name!r}: {token!r} is not finite",
-            row=row,
-            column=col_name,
-        )
-    return val
-
-
-def _infer_column_type(tokens, col_name) -> ColumnType:
-    present = [t.strip() for t in tokens if not _is_missing(t)]
-    if not present:
-        return ColumnType.NUMERIC
-    if all(t.lower() in _BINARY_TOKENS for t in present):
-        return ColumnType.BINARY
-    ints = [_parse_int(t) for t in present]
-    if all(v is not None for v in ints):
-        if min(ints) >= 0:
-            return ColumnType.COUNT
-        return ColumnType.NUMERIC
-    try:
-        for t in present:
-            float(t)
-    except ValueError:
-        levels = sorted(set(present))
+def _read_column(tokens, rows, ctype, name):
+    """Type and values of one column's present ``tokens`` (stripped, at 0-based
+    ``rows``).  Without a schema type, the type is the first in ``_READERS``
+    order whose reader reads every token; an all-missing column is numeric."""
+    declared = ctype is not None
+    if not (declared or tokens):
+        return ColumnType.NUMERIC, []
+    for ctype in (ctype,) if declared else _READERS:
+        values = _read_tokens(tokens, ctype)
+        if len(values) == len(tokens):
+            break
+    if len(values) < len(tokens) and not declared:
+        levels = sorted(set(tokens))
         raise SchemaError(
-            f"column {col_name!r} looks categorical with levels {levels[:5]}; "
+            f"column {name!r} looks categorical with levels {levels[:5]}; "
             "only two-level Yes/No/TRUE/FALSE columns are supported"
-        ) from None
-    return ColumnType.NUMERIC
+        )
+    bad, problem = len(values), _READERS[ctype][1]
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    if nonfinite.size:
+        bad, problem = nonfinite[0], "is not finite"
+    if bad < len(tokens):
+        row = rows[bad] + 1
+        raise IngestionError(
+            f"row {row}, column {name!r}: {tokens[bad]!r} {problem}",
+            row=row,
+            column=name,
+        )
+    return ctype, values
 
 
 def read_csv(path, schema: dict | None = None) -> MixedDataFrame:
     """Ingest a CSV file into a MixedDataFrame.
 
-    Types come from ``schema`` when given, otherwise are inferred per column:
-    all nonnegative integers gives count (binary when only 0/1 appear),
-    anything else parseable as float gives numeric.
+    Types come from ``schema`` when given.  Otherwise a column's type is the
+    first of binary, count and numeric whose reader reads every present cell,
+    and that reader's values are the column: 0/1 and yes/no/true/false give
+    binary, nonnegative integers count, anything else parseable as float
+    numeric.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -256,33 +261,37 @@ def read_csv(path, schema: dict | None = None) -> MixedDataFrame:
             raise IngestionError(f"{path}: empty file, expected a header row") from None
         rows = [row for row in reader if row]
     names = [h.strip() for h in header]
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise IngestionError(f"{path}: header repeats column {name!r}", column=name)
+        seen.add(name)
+    specs = _column_specs(schema, names)
     for row_idx, row in enumerate(rows, start=1):
         if len(row) != len(names):
             raise IngestionError(
                 f"row {row_idx}: expected {len(names)} cells, got {len(row)}",
                 row=row_idx,
             )
-    columns = [[row[j] for row in rows] for j in range(len(names))]
-
-    types = []
-    for j, name in enumerate(names):
-        spec = (schema or {}).get(name)
-        if spec is None:
-            types.append(_infer_column_type(columns[j], name))
-        else:
-            if isinstance(spec, str):
-                spec = {"type": spec}
-            types.append(ColumnType(spec["type"]))
 
     m1, m2 = len(rows), len(names)
     values = np.full((m1, m2), np.nan)
     mask = np.zeros((m1, m2), dtype=bool)
-    for j, (name, ctype) in enumerate(zip(names, types)):
-        for i, token in enumerate(columns[j]):
-            if _is_missing(token):
-                continue
-            values[i, j] = _parse_cell(token, ctype, i + 1, name)
-            mask[i, j] = True
+    types = []
+    for j, name in enumerate(names):
+        cells = [row[j].strip() for row in rows]
+        present = [
+            i for i, token in enumerate(cells) if token.lower() not in _MISSING_TOKENS
+        ]
+        ctype, column = _read_column(
+            [cells[i] for i in present],
+            present,
+            ColumnType(specs[name]["type"]) if name in specs else None,
+            name,
+        )
+        values[present, j] = column
+        mask[present, j] = True
+        types.append(ctype)
     return MixedDataFrame(tuple(names), tuple(types), values, mask)
 
 

@@ -182,8 +182,6 @@ def gen_observations(x, design: SimDesign, links, rng):
         elif link.kind == "bernoulli":
             values[:, j] = rng.binomial(1, expit(x[:, j]))
         else:
-            if link.a <= 0:
-                raise InvalidInputError("poisson sampling needs a > 0")
             values[:, j] = rng.poisson(link.a * np.exp(link.a * x[:, j]))
     for _ in range(_REDRAW_LIMIT):
         mask = rng.random((m1, m2)) < design.p_obs

@@ -367,7 +367,7 @@ class TestInputErrors:
         dict_path = tmp_path / "dict.json"
         dict_path.write_text(json.dumps({"type": "rowcol"}))
         err = self._fit(capsys, data, schema, dict_path, tmp_path / "o")
-        assert "error: poisson rate-scale a must be finite and nonzero" in err
+        assert "error: poisson rate-scale a must be finite and > 0" in err
 
     def test_non_integral_corruption_cell(self, workspace, capsys):
         tmp, data, schema, _ = workspace

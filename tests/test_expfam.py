@@ -174,6 +174,9 @@ class TestLinkSpec:
             LinkSpec.gaussian(sigma2=0.0)
         with pytest.raises(InvalidInputError):
             LinkSpec.poisson(a=0.0)
+        # a negative a would give a count a negative mean
+        with pytest.raises(InvalidInputError, match="a must be finite and > 0"):
+            LinkSpec.poisson(a=-1.0)
         with pytest.raises(InvalidInputError):
             LinkSpec("gamma")
 

@@ -1,5 +1,6 @@
 """Mixed data frame: ingestion, typing, mask statistics, round-trips."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -134,6 +135,38 @@ class TestReadCsv:
         with pytest.raises(IngestionError):
             mdf.read_csv(path)
 
+    def test_repeated_header_name_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b, a\n1,2,3\n")
+        with pytest.raises(IngestionError, match="header repeats column 'a'") as err:
+            mdf.read_csv(path, schema={"a": "numeric"})
+        assert err.value.column == "a"
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\ufeffa,b\n1,2\n3,4\n", encoding="utf-8")
+        fr = mdf.read_csv(path, schema={"a": "numeric"})
+        assert fr.column_names == ("a", "b")
+        assert fr.column_types == (ColumnType.NUMERIC, ColumnType.COUNT)
+
+    def test_schema_key_must_name_a_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("income,visits\n1.5,2\n")
+        schema = {"incme": "numeric"}
+        with pytest.raises(SchemaError, match="schema key 'incme' names no column"):
+            mdf.read_csv(path, schema=schema)
+        fr = mdf.read_csv(path)
+        with pytest.raises(SchemaError, match="schema key 'incme' names no column"):
+            mdf.default_links(fr, schema)
+
+    @pytest.mark.parametrize("schema", [None, {"x": "count"}, {"x": "numeric"}])
+    def test_integer_too_large_for_a_double(self, tmp_path, schema):
+        path = tmp_path / "t.csv"
+        path.write_text("x\n2\n1" + "0" * 400 + "\n")
+        with pytest.raises(IngestionError, match="is not finite") as err:
+            mdf.read_csv(path, schema=schema)
+        assert err.value.row == 2
+
 
 class TestSchemaSidecar:
     def test_read_schema_and_links(self, tmp_path):
@@ -158,6 +191,11 @@ class TestSchemaSidecar:
         assert links[0].sigma2 == 2.5
         assert links[1].kind == "bernoulli"
         assert links[2].a == 0.5
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_text("\ufeff" + json.dumps({"a": "count"}), encoding="utf-8")
+        assert mdf.read_schema(path) == {"a": {"type": "count"}}
 
     def test_unknown_type_rejected(self, tmp_path):
         path = tmp_path / "schema.json"
@@ -223,3 +261,118 @@ class TestRoundTrip:
             for name, ctype in zip(fr.column_names, fr.column_types)
         })
         assert fr == again
+
+
+# Reference copy of the typing and parsing rules that read_csv keeps from
+# when its inference and its parse were separate passes: a column's type was
+# inferred from all its tokens, then each present token parsed under it.
+_REF_MISSING = {"", "na"}
+_REF_BINARY = {"0": 0.0, "1": 1.0, "no": 0.0, "yes": 1.0, "false": 0.0, "true": 1.0}
+
+
+def _ref_is_missing(token):
+    return token.strip().lower() in _REF_MISSING
+
+
+def _ref_parse_int(token):
+    try:
+        return int(token.strip())
+    except ValueError:
+        return None
+
+
+def _ref_parse_cell(token, ctype, row, name):
+    token = token.strip()
+    where = f"row {row}, column {name!r}: {token!r}"
+    if ctype is ColumnType.BINARY:
+        val = _REF_BINARY.get(token.lower())
+        if val is None:
+            raise IngestionError(f"{where} is not a binary value", row=row, column=name)
+        return val
+    if ctype is ColumnType.COUNT:
+        val = _ref_parse_int(token)
+        if val is None or val < 0:
+            raise IngestionError(
+                f"{where} is not a nonnegative integer", row=row, column=name
+            )
+        return float(val)
+    try:
+        val = float(token)
+    except ValueError:
+        raise IngestionError(f"{where} is not numeric", row=row, column=name) from None
+    if not np.isfinite(val):
+        raise IngestionError(f"{where} is not finite", row=row, column=name)
+    return val
+
+
+def _ref_infer_type(tokens, name):
+    present = [t.strip() for t in tokens if not _ref_is_missing(t)]
+    if not present:
+        return ColumnType.NUMERIC
+    if all(t.lower() in _REF_BINARY for t in present):
+        return ColumnType.BINARY
+    ints = [_ref_parse_int(t) for t in present]
+    if all(v is not None for v in ints):
+        return ColumnType.COUNT if min(ints) >= 0 else ColumnType.NUMERIC
+    try:
+        for t in present:
+            float(t)
+    except ValueError:
+        levels = sorted(set(present))
+        raise SchemaError(
+            f"column {name!r} looks categorical with levels {levels[:5]}; "
+            "only two-level Yes/No/TRUE/FALSE columns are supported"
+        ) from None
+    return ColumnType.NUMERIC
+
+
+def reference_read_column(tokens, name, declared):
+    """The one-column frame that the reference rules give ``tokens``."""
+    ctype = ColumnType(declared) if declared else _ref_infer_type(tokens, name)
+    values = np.full((len(tokens), 1), np.nan)
+    mask = np.zeros((len(tokens), 1), dtype=bool)
+    for i, token in enumerate(tokens):
+        if not _ref_is_missing(token):
+            values[i, 0] = _ref_parse_cell(token, ctype, i + 1, name)
+            mask[i, 0] = True
+    return MixedDataFrame((name,), (ctype,), values, mask)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (IngestionError, InvalidInputError, SchemaError) as exc:
+        return exc
+
+
+# 0/1 make binary columns and -3 numeric ones, inf/nan are non-finite and x
+# unreadable; NA, na and "" are missing
+_VOCABULARY = [
+    "0", "1", "-3", "1.5", "007", "+2", "1e3", "yes", "TRUE",
+    "NA", "na", " 4 ", "inf", "nan", "x", "",
+]
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("declared", [None, "numeric", "binary", "count"])
+    @given(tokens=st.lists(st.sampled_from(_VOCABULARY), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_single_column(self, declared, tokens, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ref") / "t.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x"])
+            # csv quotes a lone empty cell, so its row is not skipped as blank
+            writer.writerows([token] for token in tokens)
+        schema = {"x": declared} if declared else None
+        got = _outcome(lambda: mdf.read_csv(path, schema=schema))
+        want = _outcome(lambda: reference_read_column(tokens, "x", declared))
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert getattr(got, "row", None) == getattr(want, "row", None)
+            assert getattr(got, "column", None) == getattr(want, "column", None)
+        else:
+            assert got.column_types == want.column_types
+            assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(got.mask, want.mask)
