@@ -46,6 +46,7 @@ from .exceptions import (
     InternalConsistencyError,
     InvalidInputError,
     LineSearchStallError,
+    ShapeMismatchError,
     SplrError,
 )
 from .frame import ColumnType, MixedDataFrame
@@ -70,6 +71,11 @@ _RANK_RTOL = 1e-7
 _ALPHA_ZERO_TOL = 1e-8
 
 
+def _number(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` number; a bool (JSON's true) is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Penalties, stopping rule, subsolver settings; the rest are constants."""
@@ -89,16 +95,17 @@ class SolverConfig:
     nuclear_max_iter: int = 100
 
     def __post_init__(self):
-        for name, lam in (("lam1", self.lam1), ("lam2", self.lam2)):
-            if not 0 <= lam < np.inf:
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {lam}")
+        for name in ("lam1", "lam2"):
+            value = getattr(self, name)
+            if not (_number(value, numbers.Real) and 0 <= value < np.inf):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
         for name in ("eps_f", "lasso_tol", "nuclear_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+            if not (_number(value, numbers.Real) and 0 < value < np.inf):
                 raise InvalidInputError(f"{name} must be finite and > 0, got {value}")
         for name in ("max_outer", "nuclear_max_iter"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if not (_number(value, numbers.Integral) and value >= 1):
                 raise InvalidInputError(f"{name} must be an integer >= 1, got {value}")
 
 
@@ -178,28 +185,27 @@ def objective(
     lam1: float, lam2: float,
 ) -> float:
     """Penalized negative quasi-log-likelihood at (alpha, L)."""
-    alpha = np.asarray(alpha, dtype=float)
-    low_rank = np.asarray(low_rank, dtype=float)
-    x = dictionary.apply(alpha) + low_rank
-    return (
-        expfam.quasi_loglik_neg(x, frame, links)
-        + lam1 * nuclear_norm(low_rank)
-        + lam2 * float(np.abs(alpha).sum())
-    )
+    state = make_state(frame, links, dictionary, alpha, low_rank)
+    return (state.data_fit + lam1 * nuclear_norm(state.low_rank)
+            + lam2 * float(np.abs(state.alpha).sum()))
 
 
 def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
-    """The iterate at (alpha, low_rank).  Raises ``InvalidInputError`` where
-    its parameter matrix has a non-finite entry or a link overflows there."""
+    """The iterate at (alpha, low_rank).  Raises on a low_rank or parameter matrix
+    off the frame's shape, a non-finite entry or a link overflow."""
     alpha = np.asarray(alpha, dtype=float)
     low_rank = np.asarray(low_rank, dtype=float)
     x_full = dictionary.apply(alpha) + low_rank
+    if not x_full.shape == low_rank.shape == frame.shape:
+        raise ShapeMismatchError(
+            f"parameter matrix shape {x_full.shape} (low-rank block "
+            f"{low_rank.shape}) != frame shape {frame.shape}"
+        )
+    obs = expfam.observed(frame, links)
     if not np.isfinite(x_full).all():
         raise InvalidInputError("parameter matrix contains non-finite entries")
-    obs = expfam.observed(frame, links)
     x = x_full.take(obs.cells)
-    return FitState(alpha, low_rank, x,
-                    expfam.quasi_loglik_neg(x, frame, links, obs), obs)
+    return FitState(alpha, low_rank, x, expfam.quasi_loglik_neg(x, obs), obs)
 
 
 def _armijo(state, config, name, block, direction, lin, lin_abs, lam,
@@ -273,8 +279,8 @@ def alpha_step(
     state: FitState, config: SolverConfig,
 ) -> StepResult:
     """One main-effects update: weighted-Lasso direction plus Armijo step."""
-    weights = expfam.curvature_weights(state.x, frame, links, state.obs)
-    working = expfam.working_responses(state.x, frame, links, state.obs)
+    weights = expfam.curvature_weights(state.x, state.obs)
+    working = expfam.working_responses(state.x, state.obs)
     targets = working + dictionary.apply(state.alpha)
     prob = WeightedLassoProblem(
         dictionary, weights, targets, config.nu, state.alpha, config.lam2
@@ -324,8 +330,8 @@ def l_step(
     ``nuclear_current`` is ||state.low_rank||_*; the EM stops at ``nuclear_tol``.
     """
     weighted_working, prob = _nuclear_model(
-        expfam.curvature_weights(state.x, frame, links, state.obs),
-        expfam.working_responses(state.x, frame, links, state.obs),
+        expfam.curvature_weights(state.x, state.obs),
+        expfam.working_responses(state.x, state.obs),
         state.low_rank, config,
     )
     solve = solve_weighted_nuclear(

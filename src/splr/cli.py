@@ -7,6 +7,7 @@ Python API.  Exit codes: 0 success (fit converged), 1 usage or input error,
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from dataclasses import fields, replace
@@ -48,10 +49,10 @@ def _solver_config(lam1, lam2, config_path) -> SolverConfig:
 
 def _write_matrix_csv(path, matrix, header=None):
     with open(path, "w", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         if header is not None:
-            fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in np.atleast_2d(matrix))
 
 
 @click.group(name="splr")
@@ -97,7 +98,7 @@ def cmd_fit(data_path, schema_path, dict_path, lambda1, lambda2, config_path, ou
 @click.option("--lambda2", type=float, default=None)
 @click.option("--auto-lambda", is_flag=True, help="Pick penalties by cross-validation.")
 @click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--round-binary", is_flag=True, help="Round binary cells at 0.5.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_impute(data_path, schema_path, dict_path, lambda1, lambda2, auto_lambda,
@@ -128,7 +129,7 @@ def cmd_impute(data_path, schema_path, dict_path, lambda1, lambda2, auto_lambda,
 @click.option("--n1", type=int, default=8, show_default=True)
 @click.option("--n2", type=int, default=8, show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_cv(data_path, schema_path, dict_path, n1, n2, folds, seed, out_dir):
     """Cross-validate the penalty grid; write cv.json and cv.csv."""
@@ -179,8 +180,8 @@ def cmd_simulate(design_path, seed, out_dir):
 @click.option("--study", type=click.Choice(["estimation", "imputation", "rates"]),
               required=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--reps", type=int, default=20, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=20, show_default=True)
 def cmd_reproduce(study, out_dir, seed, reps):
     """Run one of the study harnesses and write its CSVs and manifest."""
     if study == "estimation":

@@ -118,26 +118,24 @@ class Dictionary(abc.ABC):
 class GroupEffectsDictionary(Dictionary):
     """Atom (h, q) marks the rows of group h in column q.
 
-    ``assignment`` maps each row to exactly one of ``n_groups`` labels; every
-    label must be used.  Atom index is k = h * m2 + q.
+    ``assignment`` maps each row to one of the labels 0..n_groups-1, and
+    every label is used.  Atom index is k = h * m2 + q.
     """
 
-    def __init__(self, assignment, shape, n_groups=None):
+    def __init__(self, assignment, shape):
         super().__init__(shape)
         assignment = _indices(assignment, "group labels")
         if assignment.shape != (self.shape[0],):
             raise InvalidInputError("assignment must give one group per row")
         if assignment.min(initial=0) < 0:
             raise InvalidInputError("every row needs a nonnegative group label")
-        h = int(assignment.max()) + 1 if n_groups is None else int(n_groups)
-        counts = np.bincount(assignment, minlength=h)
-        if assignment.max() >= h or np.any(counts == 0):
+        if np.any(np.bincount(assignment) == 0):
             raise InvalidInputError(
                 "group labels must cover 0..n_groups-1 with no empty group"
             )
         self.assignment = assignment  # _indices made a copy
         self.assignment.setflags(write=False)
-        self.n_groups = h
+        self.n_groups = int(assignment.max()) + 1
 
     @property
     def n_atoms(self) -> int:

@@ -10,11 +10,9 @@ together with its entrywise gradient and curvature.  Every quantity here
 works over one gather, ``observed(frame, links)``: the frame's observed
 cells grouped by distinct link, links in order of first use and each link's
 cells in row-major order, with the data read there.  It is built once per
-(frame, links) and cached on the frame.  The link functions take either the
-parameter matrix or its values at the gather's cells (the solver's iterate),
-and evaluate links only there, so unobserved entries contribute exactly zero
-and masked cells can hold arbitrary parameter values without affecting
-results.
+(frame, links) and cached on the frame.  The link functions take ``(x, obs)``:
+the gather ``obs`` and the parameter values ``x`` at ``obs.cells`` (the
+solver's iterate), so unobserved entries contribute exactly zero.
 """
 
 from __future__ import annotations
@@ -110,15 +108,16 @@ class LinkSpec:
 class ObservedCells(NamedTuple):
     """A frame's observed cells grouped by link; every array read-only.
 
-    ``cells`` holds flat row-major indices i * n_cols + j and ``y`` the
-    frame's values there.  Each distinct link with an observed cell, in order
-    of first use, owns one slice of both, its cells in row-major order:
-    ``parts`` holds the (link, slice) pairs.
+    ``cells`` holds flat row-major indices i * n_cols + j into a frame of
+    ``shape`` and ``y`` the frame's values there.  Each distinct link with an
+    observed cell, in order of first use, owns one slice of both, its cells
+    in row-major order: ``parts`` holds the (link, slice) pairs.
     """
 
     cells: np.ndarray
     y: np.ndarray
     parts: tuple
+    shape: tuple
 
 
 def _group_cells(frame, links) -> ObservedCells:
@@ -135,7 +134,7 @@ def _group_cells(frame, links) -> ObservedCells:
     y = frame.values.take(cells)
     cells.setflags(write=False)
     y.setflags(write=False)
-    return ObservedCells(cells, y, tuple(parts))
+    return ObservedCells(cells, y, tuple(parts), frame.shape)
 
 
 def observed(frame, links) -> ObservedCells:
@@ -152,84 +151,68 @@ def observed(frame, links) -> ObservedCells:
     return obs
 
 
-def _by_link(x, frame, links, obs):
+def _by_link(x, obs):
     """Yield (link, flat cells, x there, y there) for each part of the
-    gather.  ``x`` is the parameter matrix, or with ``obs`` given its values
-    at ``obs.cells``."""
+    gather ``obs``; ``x`` is the iterate, the values at ``obs.cells``."""
     x = np.asarray(x, dtype=float)
-    if obs is None:
-        if x.shape != frame.shape:
-            raise ShapeMismatchError(
-                f"parameter matrix shape {x.shape} != frame shape {frame.shape}"
-            )
-        obs = observed(frame, links)
-    elif x.shape != obs.cells.shape:
+    if x.shape != obs.cells.shape:
         raise ShapeMismatchError(
             f"observed-cell vector shape {x.shape} != {obs.cells.shape}"
         )
     if not np.isfinite(x).all():
         raise InvalidInputError("parameter matrix contains non-finite entries")
-    if x.ndim == 2:
-        x = x.take(obs.cells)
     for link, part in obs.parts:
         yield link, obs.cells[part], x[part], obs.y[part]
 
 
-def _scatter(frame, parts):
+def _scatter(obs, parts):
     """A zero matrix of the frame's shape holding each (flat cells, values)."""
-    out = np.zeros(frame.values.size)
+    out = np.zeros(obs.shape[0] * obs.shape[1])
     for cells, vals in parts:
         out[cells] = vals
-    return out.reshape(frame.shape)
+    return out.reshape(obs.shape)
 
 
-def quasi_loglik_neg(x, frame, links, obs=None) -> float:
-    """Negative quasi-log-likelihood summed over observed entries.
-
-    Here and in ``curvature_weights`` and ``working_responses``, ``x`` is
-    the parameter matrix, or with ``obs = observed(frame, links)`` its values
-    at ``obs.cells``.
-    """
+def quasi_loglik_neg(x, obs) -> float:
+    """Negative quasi-log-likelihood summed over observed entries."""
     total = 0.0
-    for link, _, xo, yo in _by_link(x, frame, links, obs):
+    for link, _, xo, yo in _by_link(x, obs):
         total += float(np.sum(-yo * xo + link.g(xo)))
     return total
 
 
-def gradient(x, frame, links) -> np.ndarray:
+def gradient(x, obs) -> np.ndarray:
     """Entrywise gradient of the quasi-log-likelihood; zero where unobserved."""
-    return _scatter(frame, [
-        (cells, -yo + link.gprime(xo))
-        for link, cells, xo, yo in _by_link(x, frame, links, None)
+    return _scatter(obs, [
+        (cells, -yo + link.gprime(xo)) for link, cells, xo, yo in _by_link(x, obs)
     ])
 
 
-def curvature_weights(x, frame, links, obs=None) -> np.ndarray:
+def curvature_weights(x, obs) -> np.ndarray:
     """Per-entry quadratic-model weights g''(x)/2; zero where unobserved."""
-    return _scatter(frame, [
-        (cells, 0.5 * link.gsecond(xo))
-        for link, cells, xo, _ in _by_link(x, frame, links, obs)
+    return _scatter(obs, [
+        (cells, 0.5 * link.gsecond(xo)) for link, cells, xo, _ in _by_link(x, obs)
     ])
 
 
-def working_responses(x, frame, links, obs=None) -> np.ndarray:
+def working_responses(x, obs) -> np.ndarray:
     """Newton-style targets (Y - g'(x)) / g''(x); zero where unobserved.
 
     Unobserved entries always carry zero weight downstream, so the value
     chosen there is inert.
     """
     parts = []
-    for link, cells, xo, yo in _by_link(x, frame, links, obs):
+    for link, cells, xo, yo in _by_link(x, obs):
         curv = link.gsecond(xo)
         if np.any(curv < _CURVATURE_FLOOR):
-            bad = divmod(int(cells[np.argmin(curv)]), frame.n_cols)
+            bad = divmod(int(cells[np.argmin(curv)]), obs.shape[1])
             raise NumericDegeneracyError(
                 f"curvature underflow below {_CURVATURE_FLOOR:g} at entry "
                 f"({bad[0]}, {bad[1]})",
                 entry=bad,
             )
         parts.append((cells, (yo - link.gprime(xo)) / curv))
-    return _scatter(frame, parts)
+    return _scatter(obs, parts)
 
 
 def predicted_means(x, links) -> np.ndarray:

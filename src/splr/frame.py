@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -124,14 +125,24 @@ class MixedDataFrame:
         )
 
 
-def _column_specs(schema: dict | None, names) -> dict:
-    """``schema``'s entries, bare type strings as ``{"type": ...}``; a key
-    that names none of the columns ``names`` is an error."""
+def _column_specs(schema: dict | None, names=None) -> dict:
+    """``schema``'s entries, bare type strings as ``{"type": ...}``, each
+    with a known type; with ``names`` given, a key that names none of those
+    columns is an error."""
+    if schema is None:
+        return {}
+    if not isinstance(schema, dict):
+        raise SchemaError("schema must be a JSON object")
     specs = {}
-    for key, spec in (schema or {}).items():
-        if key not in names:
+    for key, spec in schema.items():
+        if names is not None and key not in names:
             raise SchemaError(f"schema key {key!r} names no column")
-        specs[key] = {"type": spec} if isinstance(spec, str) else spec
+        if isinstance(spec, str):
+            spec = {"type": spec}
+        ctype = spec.get("type") if isinstance(spec, dict) else None
+        if ctype not in ("numeric", "binary", "count"):
+            raise SchemaError(f"column {key!r}: unknown type {ctype!r}")
+        specs[key] = spec
     return specs
 
 
@@ -142,10 +153,11 @@ def default_links(frame: MixedDataFrame, schema: dict | None = None) -> list:
     for name, ctype in zip(frame.column_names, frame.column_types):
         spec = specs.get(name, {})
         key = {ColumnType.NUMERIC: "sigma2", ColumnType.COUNT: "a"}.get(ctype)
-        try:
-            value = float(spec.get(key, 1.0))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"column {name!r}: {key} must be a number") from exc
+        value = spec.get(key, 1.0)
+        # JSON's true is a bool, which Python counts as the number 1
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidInputError(f"column {name!r}: {key} must be a number")
+        value = float(value)
         if ctype is ColumnType.NUMERIC:
             links.append(LinkSpec.gaussian(sigma2=value))
         elif ctype is ColumnType.BINARY:
@@ -166,18 +178,7 @@ def read_json(path, what: str):
 
 def read_schema(path) -> dict:
     """Load a schema sidecar; values may be bare type strings or objects."""
-    raw = read_json(path, "schema")
-    if not isinstance(raw, dict):
-        raise SchemaError("schema must be a JSON object")
-    schema = {}
-    for name, spec in raw.items():
-        if isinstance(spec, str):
-            spec = {"type": spec}
-        ctype = spec.get("type") if isinstance(spec, dict) else None
-        if ctype not in ("numeric", "binary", "count"):
-            raise SchemaError(f"column {name!r}: unknown type {ctype!r}")
-        schema[name] = spec
-    return schema
+    return _column_specs(read_json(path, "schema"))
 
 
 def _read_binary(token: str) -> float:

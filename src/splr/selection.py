@@ -83,7 +83,8 @@ def default_grid(
         raise InvalidInputError(f"grid lengths must be >= 1, got n1={n1}, n2={n2}")
     if not 0 < decades < np.inf:
         raise InvalidInputError(f"decades must be finite and > 0, got {decades}")
-    grad0 = expfam.gradient(np.zeros(frame.shape), frame, links)
+    obs = expfam.observed(frame, links)
+    grad0 = expfam.gradient(np.zeros(obs.cells.size), obs)
     lam1_max = float(np.linalg.svd(grad0, compute_uv=False)[0])
     lam2_max = float(np.abs(dictionary.adjoint(grad0)).max())
     return LambdaGrid(

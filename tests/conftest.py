@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from splr import subsolvers
+from splr import expfam, subsolvers
 from splr.dictionary import (
     CorruptionsDictionary,
     CustomDictionary,
@@ -65,6 +65,13 @@ def make_mixed_instance(seed, m1=6, m2=5, p_obs=0.7, kinds=None, x_scale=0.8):
     links = make_links(kinds)
     x_eval = x_scale * rng.standard_normal((m1, m2))
     return frame, links, x_eval
+
+
+def at_observed(fn, x, frame, links):
+    """The ``expfam`` link function ``fn`` at the parameter matrix ``x``,
+    gathered as ``x.take(obs.cells)`` with ``obs = observed(frame, links)``."""
+    obs = expfam.observed(frame, links)
+    return fn(np.asarray(x, dtype=float).take(obs.cells), obs)
 
 
 def make_dictionary(kind, shape, rng=None):

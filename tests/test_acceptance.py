@@ -35,7 +35,11 @@ from splr.subsolvers import (
     weighted_lasso_objective,
 )
 
-from conftest import gaussian_prox_gradient_reference, make_mixed_instance
+from conftest import (
+    at_observed,
+    gaussian_prox_gradient_reference,
+    make_mixed_instance,
+)
 
 
 def _criterion(num, label, ok, detail, elapsed, budget):
@@ -134,7 +138,7 @@ def test_criterion_3_gradient_correctness():
     worst = 0.0
     for seed in range(50):
         frame, links, x = make_mixed_instance(2000 + seed, m1=6, m2=5)
-        grad = expfam.gradient(x, frame, links)
+        grad = at_observed(expfam.gradient, x, frame, links)
         fd = np.zeros_like(x)
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):
@@ -142,8 +146,8 @@ def test_criterion_3_gradient_correctness():
                 up[i, j] += h
                 down[i, j] -= h
                 fd[i, j] = (
-                    expfam.quasi_loglik_neg(up, frame, links)
-                    - expfam.quasi_loglik_neg(down, frame, links)
+                    at_observed(expfam.quasi_loglik_neg, up, frame, links)
+                    - at_observed(expfam.quasi_loglik_neg, down, frame, links)
                 ) / (2 * h)
         rel = np.max(np.abs(fd - grad) / np.maximum(np.abs(grad), 1.0))
         worst = max(worst, float(rel))

@@ -18,6 +18,7 @@ from splr.exceptions import (
     FitAbortedError,
     InternalConsistencyError,
     InvalidInputError,
+    ShapeMismatchError,
 )
 from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
@@ -25,6 +26,7 @@ from splr.selection import default_grid
 from splr.simulate import SimDesign, simulate_instance
 from splr.subsolvers import nuclear_norm
 from conftest import (
+    at_observed,
     gaussian_prox_gradient_reference,
     make_mixed_instance,
     record_results,
@@ -89,7 +91,7 @@ class TestObjective:
         val = bcgd.objective(alpha, low, frame, links, d, 0.0, 0.0)
         x = d.apply(alpha) + low
         assert val == pytest.approx(
-            expfam.quasi_loglik_neg(x, frame, links), abs=1e-12
+            at_observed(expfam.quasi_loglik_neg, x, frame, links), abs=1e-12
         )
 
     def test_nuclear_term_vs_svd_oracle(self, rng):
@@ -102,6 +104,22 @@ class TestObjective:
         without = bcgd.objective(alpha, low, frame, links, d, 0.0, 0.0)
         svd_sum = np.linalg.svd(low, compute_uv=False).sum()
         assert with_pen - without == pytest.approx(lam1 * svd_sum, abs=1e-10)
+
+    def test_parameter_matrix_must_match_the_frame(self, rng):
+        """A dictionary or low-rank block of another shape is an error, not
+        a data fit read from the wrong cells or a bare numpy error."""
+        frame, links = gaussian_frame(rng, 5, 4)
+        config = SolverConfig(lam1=0.1, lam2=0.1)
+        match = r"parameter matrix shape \(6, 4\) .* != frame shape \(5, 4\)"
+        with pytest.raises(ShapeMismatchError, match=match):
+            bcgd.objective(np.zeros(12), np.zeros((6, 4)), frame, links,
+                           groups_dict(6, 4), 0.0, 0.0)
+        with pytest.raises(ShapeMismatchError, match=match):
+            fit(frame, links, groups_dict(6, 4), config)
+        # a 1-d block broadcasts to the frame's shape
+        with pytest.raises(ShapeMismatchError, match=r"low-rank block \(4,\)"):
+            fit(frame, links, groups_dict(5, 4), config,
+                init=(np.zeros(12), np.zeros(4)))
 
 
 class TestAlphaStep:
@@ -144,8 +162,9 @@ class TestAlphaStep:
         state = bcgd.make_state(frame, links, d, np.zeros(d.n_atoms), np.zeros((8, 3)))
         res = alpha_step(frame, links, d, state, config)
         assert res.tau == 1.0
-        lhs = expfam.quasi_loglik_neg(
-            d.apply(res.state.alpha) + state.low_rank, frame, links
+        lhs = at_observed(
+            expfam.quasi_loglik_neg, d.apply(res.state.alpha) + state.low_rank,
+            frame, links,
         ) + config.lam2 * np.abs(res.state.alpha).sum()
         rhs = (
             state.data_fit
@@ -302,7 +321,7 @@ class TestFit:
         lam1, lam2 = 0.9, 0.5
         config = SolverConfig(lam1=lam1, lam2=lam2, eps_f=1e-13, max_outer=4000)
         result = fit(frame, links, d, config)
-        grad_x = expfam.gradient(result.x_hat, frame, links)
+        grad_x = at_observed(expfam.gradient, result.x_hat, frame, links)
         # alpha block: minimum-norm subgradient of the l1-composite
         grad_a = d.adjoint(grad_x)
         kkt = np.where(
@@ -663,7 +682,7 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             SolverConfig(lam1=-0.1, lam2=0.0)
 
-    @pytest.mark.parametrize("bad", [2.5, 0, -1, 2.0, "3"])
+    @pytest.mark.parametrize("bad", [2.5, 0, -1, 2.0, "3", True])
     @pytest.mark.parametrize("name", ["max_outer", "nuclear_max_iter"])
     def test_iteration_caps_are_positive_integers(self, name, bad):
         # 2.5 ended in a TypeError from range(), and nuclear_max_iter=0 ran a
@@ -672,7 +691,7 @@ class TestConfigValidation:
             SolverConfig(lam1=0.1, lam2=0.1, **{name: bad})
         assert SolverConfig(lam1=0.1, lam2=0.1, **{name: np.int64(3)})
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-8, np.nan, np.inf, "1e-6"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-8, np.nan, np.inf, "1e-6", True])
     @pytest.mark.parametrize("name", ["eps_f", "lasso_tol", "nuclear_tol"])
     def test_tolerances_finite_and_positive(self, name, bad):
         with pytest.raises(InvalidInputError, match=f"^{name} must be finite and > 0"):
@@ -691,7 +710,8 @@ class TestConfigValidation:
             with pytest.raises(TypeError):
                 SolverConfig(lam1=0.1, lam2=0.1, **{name: value})
 
-    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    # a non-real penalty raised a bare TypeError, and True read as 1
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, "1", None, True])
     @pytest.mark.parametrize("name", ["lam1", "lam2"])
     def test_bad_penalty_rejected(self, name, bad):
         with pytest.raises(InvalidInputError, match=f"^{name} must be finite"):

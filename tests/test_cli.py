@@ -1,5 +1,6 @@
 """CLI parse/dispatch/exit-code behavior; heavy lifting is library-tested."""
 
+import csv
 import json
 
 import numpy as np
@@ -33,6 +34,24 @@ def workspace(tmp_path):
 
 
 class TestFitCommand:
+    def test_matrix_header_reads_back_as_the_column_names(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = tmp_path / "data.csv"
+        data.write_text('"a,b",c\n' + "".join(
+            f"{float(u)!r},{float(v)!r}\n" for u, v in rng.standard_normal((8, 2))))
+        dict_path = tmp_path / "dict.json"
+        dict_path.write_text(json.dumps({"type": "rowcol"}))
+        out = tmp_path / "fit_out"
+        assert main([
+            "fit", "--data", str(data), "--dict", str(dict_path),
+            "--lambda1", "0.5", "--lambda2", "0.3", "--out", str(out),
+        ]) == EXIT_OK
+        with open(out / "l.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["a,b", "c"]
+        assert len(rows) == 9 and all(len(row) == 2 for row in rows)
+        assert (out / "alpha.csv").read_text().startswith("alpha\n")
+
     def test_fit_writes_outputs_and_exits_zero(self, workspace):
         tmp, data, schema, dict_path = workspace
         out = tmp / "fit_out"
@@ -347,6 +366,8 @@ class TestInputErrors:
             ({"update_alpha": False},
              "error: unknown solver config keys: ['update_alpha']"),
             ({"update_l": False}, "error: unknown solver config keys: ['update_l']"),
+            ({"max_outer": True}, "error: max_outer must be an integer >= 1, got True"),
+            ({"eps_f": True}, "error: eps_f must be finite and > 0, got True"),
         ],
     )
     def test_bad_solver_config(self, workspace, capsys, overrides, message):
@@ -408,8 +429,11 @@ class TestInputErrors:
              "error: column 'a': unknown type None"),
             ('["numeric"]', "error: schema must be a JSON object"),
             ('{"a": ', "error: Expecting value"),
+            ('{"a": {"type": "numeric", "sigma2": true}, "b": "numeric", '
+             '"c": "numeric", "d": "numeric"}',
+             "error: column 'a': sigma2 must be a number"),
         ],
-        ids=["string-sigma2", "number-spec", "array", "not-json"],
+        ids=["string-sigma2", "number-spec", "array", "not-json", "bool-sigma2"],
     )
     def test_malformed_schema(self, workspace, capsys, text, message):
         tmp, data, _, dict_path = workspace
@@ -458,6 +482,27 @@ class TestInputErrors:
         err = self._run(capsys, "simulate", "--design", str(path),
                         "--out", str(tmp_path / "o"))
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("cv", "--seed", "-1"),
+            ("impute", "--seed", "-1"),
+            ("reproduce", "--seed", "-1"),
+            ("reproduce", "--reps", "0"),
+        ],
+    )
+    def test_integer_option_out_of_range(self, workspace, capsys, command, option,
+                                         value):
+        tmp, data, schema, dict_path = workspace
+        inputs = ["--study", "rates"] if command == "reproduce" else [
+            "--data", str(data), "--dict", str(dict_path)]
+        if command == "impute":
+            inputs += ["--lambda1", "0.5", "--lambda2", "0.3"]
+        err = self._run(capsys, command, *inputs, option, value,
+                        "--out", str(tmp / "o"))
+        assert f"Invalid value for '{option}'" in err
+        assert not (tmp / "o").exists()
 
     def test_cv_empty_grid(self, workspace, capsys):
         tmp, data, schema, dict_path = workspace

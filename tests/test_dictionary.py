@@ -227,6 +227,12 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             GroupEffectsDictionary([0, 0, 2], (3, 2))
 
+    def test_group_count_comes_from_the_labels(self):
+        d = GroupEffectsDictionary([1, 0, 1], (3, 2))
+        assert d.n_groups == 2 and d.n_atoms == 4
+        with pytest.raises(TypeError):
+            GroupEffectsDictionary([1, 0, 1], (3, 2), n_groups=2)
+
     def test_custom_box_enforced(self):
         with pytest.raises(InvalidInputError):
             CustomDictionary([[(0, 0, 1.5)]], (2, 2))

@@ -14,7 +14,7 @@ from splr.exceptions import (
 from splr.expfam import LinkSpec
 from splr.frame import ColumnType, MixedDataFrame
 
-from conftest import make_mixed_instance
+from conftest import at_observed, make_mixed_instance
 
 
 def single_cell_frame(y, ctype):
@@ -98,19 +98,16 @@ class TestPerColumnReference:
     # a single column
     @example(case=link_instance([BERN], np.array([[1], [0], [1], [1]], bool), 6))
     def test_bit_identical(self, case):
-        """The dense form, and the flat form on x's values at the gather's
-        cells, both give the reference's bits."""
+        """On x's values at the gather's cells, the link functions give the
+        reference's bits."""
         x, frame, links = case
         value, grad, weights, working = per_column_reference(x, frame, links)
-        assert np.array_equal(expfam.quasi_loglik_neg(x, frame, links), value)
-        assert np.array_equal(expfam.gradient(x, frame, links), grad)
-        assert np.array_equal(expfam.curvature_weights(x, frame, links), weights)
-        assert np.array_equal(expfam.working_responses(x, frame, links), working)
         obs = expfam.observed(frame, links)
         xo = x.take(obs.cells)
-        assert np.array_equal(expfam.quasi_loglik_neg(xo, frame, links, obs), value)
-        assert np.array_equal(expfam.curvature_weights(xo, frame, links, obs), weights)
-        assert np.array_equal(expfam.working_responses(xo, frame, links, obs), working)
+        assert np.array_equal(expfam.quasi_loglik_neg(xo, obs), value)
+        assert np.array_equal(expfam.gradient(xo, obs), grad)
+        assert np.array_equal(expfam.curvature_weights(xo, obs), weights)
+        assert np.array_equal(expfam.working_responses(xo, obs), working)
 
 
 class TestGather:
@@ -136,9 +133,9 @@ class TestGather:
         frame, links = single_cell_frame(1.0, ColumnType.NUMERIC), [G1]
         obs = expfam.observed(frame, links)
         with pytest.raises(ShapeMismatchError, match="observed-cell vector"):
-            expfam.quasi_loglik_neg(np.zeros(2), frame, links, obs)
+            expfam.quasi_loglik_neg(np.zeros(2), obs)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            expfam.quasi_loglik_neg(np.array([np.inf]), frame, links, obs)
+            expfam.quasi_loglik_neg(np.array([np.inf]), obs)
 
 
 class TestLinkSpec:
@@ -201,39 +198,35 @@ class TestLinkSpec:
 class TestQuasiLoglik:
     def test_gaussian_zero_parameter(self):
         frame = single_cell_frame(1.0, ColumnType.NUMERIC)
-        val = expfam.quasi_loglik_neg(np.zeros((1, 1)), frame, [LinkSpec.gaussian()])
+        val = at_observed(expfam.quasi_loglik_neg, np.zeros((1, 1)), frame, [G1])
         assert val == 0.0
 
     def test_bernoulli_log2(self):
         frame = single_cell_frame(1.0, ColumnType.BINARY)
-        val = expfam.quasi_loglik_neg(np.zeros((1, 1)), frame, [LinkSpec.bernoulli()])
+        val = at_observed(expfam.quasi_loglik_neg, np.zeros((1, 1)), frame, [BERN])
         assert val == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_poisson_closed_form(self):
         frame = single_cell_frame(2.0, ColumnType.COUNT)
         x = np.array([[np.log(2.0)]])
-        val = expfam.quasi_loglik_neg(x, frame, [LinkSpec.poisson()])
+        val = at_observed(expfam.quasi_loglik_neg, x, frame, [LinkSpec.poisson()])
         assert val == pytest.approx(-2.0 * np.log(2.0) + 2.0, abs=1e-12)
 
     def test_nonfinite_rejected(self):
         frame = single_cell_frame(1.0, ColumnType.NUMERIC)
         with pytest.raises(InvalidInputError):
-            expfam.quasi_loglik_neg(np.array([[np.nan]]), frame, [LinkSpec.gaussian()])
+            at_observed(expfam.quasi_loglik_neg, np.array([[np.nan]]), frame, [G1])
 
     def test_shape_mismatch_rejected(self):
         frame = single_cell_frame(1.0, ColumnType.NUMERIC)
-        with pytest.raises(ShapeMismatchError):
-            expfam.quasi_loglik_neg(np.zeros((2, 1)), frame, [LinkSpec.gaussian()])
-        with pytest.raises(ShapeMismatchError):
-            expfam.quasi_loglik_neg(
-                np.zeros((1, 1)), frame, [LinkSpec.gaussian()] * 2
-            )
+        with pytest.raises(ShapeMismatchError, match="2 links given for 1 columns"):
+            at_observed(expfam.quasi_loglik_neg, np.zeros((1, 1)), frame, [G1] * 2)
 
 
 class TestGradient:
     def test_gaussian_entry(self):
         frame = single_cell_frame(3.0, ColumnType.NUMERIC)
-        grad = expfam.gradient(np.array([[1.0]]), frame, [LinkSpec.gaussian()])
+        grad = at_observed(expfam.gradient, np.array([[1.0]]), frame, [G1])
         assert grad[0, 0] == pytest.approx(-2.0)
 
     def test_unobserved_entry_zero(self):
@@ -242,16 +235,14 @@ class TestGradient:
         frame = MixedDataFrame(
             ("a", "b"), (ColumnType.NUMERIC, ColumnType.NUMERIC), values, mask
         )
-        grad = expfam.gradient(
-            np.array([[1.0, 5.0]]), frame, [LinkSpec.gaussian()] * 2
-        )
+        grad = at_observed(expfam.gradient, np.array([[1.0, 5.0]]), frame, [G1] * 2)
         assert grad[0, 1] == 0.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_oracle(self, seed):
         """Central differences of the objective reproduce the gradient."""
         frame, links, x = make_mixed_instance(seed, m1=6, m2=5)
-        grad = expfam.gradient(x, frame, links)
+        grad = at_observed(expfam.gradient, x, frame, links)
         h = 1e-6
         fd = np.zeros_like(x)
         for i in range(x.shape[0]):
@@ -260,8 +251,8 @@ class TestGradient:
                 up[i, j] += h
                 down[i, j] -= h
                 fd[i, j] = (
-                    expfam.quasi_loglik_neg(up, frame, links)
-                    - expfam.quasi_loglik_neg(down, frame, links)
+                    at_observed(expfam.quasi_loglik_neg, up, frame, links)
+                    - at_observed(expfam.quasi_loglik_neg, down, frame, links)
                 ) / (2 * h)
         scale = np.maximum(np.abs(grad), 1.0)
         assert np.max(np.abs(fd - grad) / scale) <= 1e-5
@@ -273,22 +264,23 @@ class TestGradient:
         direction = rng.standard_normal(x.shape)
         h = 1e-6
         fd = (
-            expfam.quasi_loglik_neg(x + h * direction, frame, links)
-            - expfam.quasi_loglik_neg(x - h * direction, frame, links)
+            at_observed(expfam.quasi_loglik_neg, x + h * direction, frame, links)
+            - at_observed(expfam.quasi_loglik_neg, x - h * direction, frame, links)
         ) / (2 * h)
-        inner = float(np.sum(expfam.gradient(x, frame, links) * direction))
+        grad = at_observed(expfam.gradient, x, frame, links)
+        inner = float(np.sum(grad * direction))
         assert fd == pytest.approx(inner, rel=1e-5, abs=1e-8)
 
 
 class TestCurvatureWeights:
     def test_gaussian_half(self):
         frame = single_cell_frame(0.0, ColumnType.NUMERIC)
-        w = expfam.curvature_weights(np.array([[4.0]]), frame, [LinkSpec.gaussian()])
+        w = at_observed(expfam.curvature_weights, np.array([[4.0]]), frame, [G1])
         assert w[0, 0] == pytest.approx(0.5)
 
     def test_bernoulli_at_zero(self):
         frame = single_cell_frame(1.0, ColumnType.BINARY)
-        w = expfam.curvature_weights(np.zeros((1, 1)), frame, [LinkSpec.bernoulli()])
+        w = at_observed(expfam.curvature_weights, np.zeros((1, 1)), frame, [BERN])
         assert w[0, 0] == pytest.approx(0.125)
 
     def test_unobserved_zero(self):
@@ -297,9 +289,7 @@ class TestCurvatureWeights:
         frame = MixedDataFrame(
             ("a", "b"), (ColumnType.NUMERIC, ColumnType.NUMERIC), values, mask
         )
-        w = expfam.curvature_weights(
-            np.zeros((1, 2)), frame, [LinkSpec.gaussian()] * 2
-        )
+        w = at_observed(expfam.curvature_weights, np.zeros((1, 2)), frame, [G1] * 2)
         assert w[0, 1] == 0.0
         assert np.all(w >= 0)
 
@@ -307,25 +297,24 @@ class TestCurvatureWeights:
 class TestWorkingResponses:
     def test_gaussian(self):
         frame = single_cell_frame(3.0, ColumnType.NUMERIC)
-        z = expfam.working_responses(np.array([[1.0]]), frame, [LinkSpec.gaussian()])
+        z = at_observed(expfam.working_responses, np.array([[1.0]]), frame, [G1])
         assert z[0, 0] == pytest.approx(2.0)
 
     def test_bernoulli(self):
         frame = single_cell_frame(1.0, ColumnType.BINARY)
-        z = expfam.working_responses(np.zeros((1, 1)), frame, [LinkSpec.bernoulli()])
+        z = at_observed(expfam.working_responses, np.zeros((1, 1)), frame, [BERN])
         assert z[0, 0] == pytest.approx(2.0)
 
     def test_poisson(self):
         frame = single_cell_frame(1.0, ColumnType.COUNT)
-        z = expfam.working_responses(np.zeros((1, 1)), frame, [LinkSpec.poisson()])
+        z = at_observed(expfam.working_responses, np.zeros((1, 1)), frame,
+                        [LinkSpec.poisson()])
         assert z[0, 0] == pytest.approx(0.0)
 
     def test_curvature_floor_names_entry(self):
         frame = single_cell_frame(1.0, ColumnType.BINARY)
         with pytest.raises(NumericDegeneracyError) as err:
-            expfam.working_responses(
-                np.array([[40.0]]), frame, [LinkSpec.bernoulli()]
-            )
+            at_observed(expfam.working_responses, np.array([[40.0]]), frame, [BERN])
         assert err.value.entry == (0, 0)
 
     def test_curvature_floor_names_entry_past_the_first_link(self):
@@ -338,7 +327,7 @@ class TestWorkingResponses:
         x[:] = 0.0
         x[2, 3] = 40.0
         with pytest.raises(NumericDegeneracyError) as err:
-            expfam.working_responses(x, frame, links)
+            at_observed(expfam.working_responses, x, frame, links)
         assert err.value.entry == (2, 3)
 
 
@@ -354,16 +343,16 @@ class TestMaskInertness:
         frame_b = MixedDataFrame(
             frame_a.column_names, frame_a.column_types, values_b, frame_a.mask
         )
-        assert expfam.quasi_loglik_neg(x, frame_a, links) == expfam.quasi_loglik_neg(
-            x, frame_b, links
+        assert at_observed(expfam.quasi_loglik_neg, x, frame_a, links) == (
+            at_observed(expfam.quasi_loglik_neg, x, frame_b, links)
         )
         for op in (
             expfam.gradient,
             expfam.curvature_weights,
             expfam.working_responses,
         ):
-            out_a = op(x, frame_a, links)
-            out_b = op(x, frame_b, links)
+            out_a = at_observed(op, x, frame_a, links)
+            out_b = at_observed(op, x, frame_b, links)
             assert np.array_equal(out_a, out_b)
 
 

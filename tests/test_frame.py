@@ -203,6 +203,22 @@ class TestSchemaSidecar:
         with pytest.raises(SchemaError):
             mdf.read_schema(path)
 
+    def test_python_schema_checked_like_a_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('"a,b",c\n1.5,2\n')
+        with pytest.raises(SchemaError, match="column 'c': unknown type 'bogus'"):
+            mdf.read_csv(path, schema={"c": "bogus"})
+        fr = mdf.read_csv(path)
+        with pytest.raises(SchemaError, match="column 'c': unknown type None"):
+            mdf.default_links(fr, {"c": 3})
+        with pytest.raises(SchemaError, match="schema must be a JSON object"):
+            mdf.default_links(fr, ["c"])
+        # a bool is not a link constant, though float(True) is 1.0, nor is a
+        # string, though float("2") is 2.0
+        for bad in (True, "2"):
+            with pytest.raises(InvalidInputError, match="sigma2 must be a number"):
+                mdf.default_links(fr, {"a,b": {"type": "numeric", "sigma2": bad}})
+
 
 def random_frame(seed):
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ from splr.frame import ColumnType, MixedDataFrame
 from splr.selection import LambdaGrid, cross_validate, default_grid, holdout_select
 
 from conftest import (
+    at_observed,
     lone_cell_frame,
     make_mixed_instance,
     record_results,
@@ -63,7 +64,7 @@ class TestDefaultGrid:
         cells = [(i, j) for i in range(5) for j in range(4)]
         d = CorruptionsDictionary(cells, (5, 4))
         grid = default_grid(frame, links, d)
-        grad0 = expfam.gradient(np.zeros((5, 4)), frame, links)
+        grad0 = at_observed(expfam.gradient, np.zeros((5, 4)), frame, links)
         assert grid.lambda2_max == pytest.approx(np.abs(grad0).max(), abs=1e-14)
         assert grid.lambda1_max == pytest.approx(
             np.linalg.svd(grad0, compute_uv=False)[0], abs=1e-12
