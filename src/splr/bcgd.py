@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -139,13 +139,30 @@ class StepResult:
     nuclear_iters: int = 0
 
 
+class _Reconstruction:
+    """``ModelFit.x_hat``: the matrix given for it, or with ``None`` given
+    ``dictionary.apply(alpha_hat) + l_hat``, computed on each read.  A fit
+    then keeps one dense matrix, not two, however many fits a path holds."""
+
+    def __get__(self, fit, owner=None):
+        if fit is None:
+            raise AttributeError("x_hat has no default")
+        given = fit.__dict__["_x_hat"]
+        if given is not None:
+            return given
+        return fit.dictionary.apply(fit.alpha_hat) + fit.l_hat
+
+    def __set__(self, fit, value):
+        fit.__dict__["_x_hat"] = value
+
+
 @dataclass
 class ModelFit:
     """Fitted coefficients, reconstruction, and convergence diagnostics."""
 
     alpha_hat: np.ndarray
     l_hat: np.ndarray
-    x_hat: np.ndarray
+    x_hat: np.ndarray = _Reconstruction()  # required; None derives it
     objective_trace: np.ndarray
     step_trace: list
     converged: bool
@@ -154,6 +171,7 @@ class ModelFit:
     wall_time: float
     nuclear_cap_hits: int = 0
     nuclear_iters: int = 0
+    dictionary: Dictionary | None = field(default=None, repr=False, compare=False)
 
     def rank(self) -> int:
         svals = np.linalg.svd(self.l_hat, compute_uv=False)
@@ -425,11 +443,10 @@ def fit(
             f"fit aborted at outer iteration {n_iter + 1}: {exc}", trace=trace
         ) from exc
 
-    x_hat = dictionary.apply(state.alpha) + state.low_rank
     return ModelFit(
         alpha_hat=state.alpha,
         l_hat=state.low_rank,
-        x_hat=x_hat,
+        x_hat=None,
         objective_trace=np.asarray(trace),
         step_trace=steps,
         converged=converged,
@@ -438,6 +455,7 @@ def fit(
         wall_time=time.perf_counter() - start,
         nuclear_cap_hits=cap_hits,
         nuclear_iters=em_iters,
+        dictionary=dictionary,
     )
 
 

@@ -101,7 +101,7 @@ class MixedDataFrame:
     def shape(self) -> tuple:
         return self.values.shape
 
-    @cached_property
+    @property
     def y_filled(self) -> np.ndarray:
         """Observed values with zeros at unobserved entries; read-only."""
         filled = np.where(self.mask, self.values, 0.0)

@@ -311,8 +311,16 @@ class TestFit:
         frame, links = gaussian_frame(rng, 7, 4, p_obs=0.8)
         d = groups_dict(7, 4)
         result = fit(frame, links, d, SolverConfig(lam1=0.3, lam2=0.1, max_outer=30))
-        np.testing.assert_allclose(
-            result.x_hat, d.apply(result.alpha_hat) + result.l_hat, atol=1e-12
+        np.testing.assert_array_equal(
+            result.x_hat, d.apply(result.alpha_hat) + result.l_hat
+        )
+        # the fit keeps l_hat only: x_hat is a fresh array on each read
+        assert result.x_hat is not result.x_hat
+        given = np.zeros(frame.shape)
+        assert dataclasses.replace(result, x_hat=given).x_hat is given
+        doubled = dataclasses.replace(result, x_hat=None, l_hat=2.0 * result.l_hat)
+        np.testing.assert_array_equal(
+            doubled.x_hat, d.apply(result.alpha_hat) + 2.0 * result.l_hat
         )
 
     def test_stationarity_at_convergence(self, rng):
