@@ -28,10 +28,23 @@ objective change, clipped into [``nuclear_tol``, ``_EM_TOL_MAX``], and at
 iterate lowers the model, so the predicted decrease stays negative and the
 descent argument above is unchanged.  A fit converges only on an outer
 iteration whose EM ran at ``nuclear_tol``.
+
+The outer iterates are extrapolated as in Xu & Yin (2013): after an outer
+iteration's two block steps from x_{k-1} to x_k, the point
+y = x_k + beta_k (x_k - x_{k-1}) over both blocks, with beta_k from the FISTA
+sequence (Beck & Teboulle, 2009), replaces x_k when its objective is below
+F(x_k), and the momentum restarts when it is not (O'Donoghue & Candes,
+2015).  So the trace stays nonincreasing.  A lower bound on F(y) that needs
+no SVD rejects most failing trials first.  A trial is made only once an
+outer iteration's decrease is at least half the one before it (the
+iterates crawl; in the fast early iterations the block steps are better on
+their own), and never on the iteration that converges, so a fit ends on a
+block step.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -66,6 +79,8 @@ _STALL_FLOOR = 1e-12
 _EPS = float(np.finfo(float).eps)
 # the loosest EM tolerance of an L-step, and the first outer iteration's
 _EM_TOL_MAX = 1e-2
+# extrapolate once an outer decrease is at least this share of the one before
+_EXTRAPOLATE_RATIO = 0.5
 # a fit's reported rank and support: relative singular-value and alpha cut-offs
 _RANK_RTOL = 1e-7
 _ALPHA_ZERO_TOL = 1e-8
@@ -171,6 +186,7 @@ class ModelFit:
     wall_time: float
     nuclear_cap_hits: int = 0
     nuclear_iters: int = 0
+    extrapolations: int = 0
     dictionary: Dictionary | None = field(default=None, repr=False, compare=False)
 
     def rank(self) -> int:
@@ -195,6 +211,7 @@ class ModelFit:
             "wall_time_s": float(self.wall_time),
             "nuclear_cap_hits": int(self.nuclear_cap_hits),
             "nuclear_iters": int(self.nuclear_iters),
+            "extrapolations": int(self.extrapolations),
         }
 
 
@@ -213,12 +230,13 @@ def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
     off the frame's shape, a non-finite entry or a link overflow."""
     alpha = np.asarray(alpha, dtype=float)
     low_rank = np.asarray(low_rank, dtype=float)
-    x_full = dictionary.apply(alpha) + low_rank
+    x_full = dictionary.apply(alpha)  # a fresh array
     if not x_full.shape == low_rank.shape == frame.shape:
         raise ShapeMismatchError(
             f"parameter matrix shape {x_full.shape} (low-rank block "
             f"{low_rank.shape}) != frame shape {frame.shape}"
         )
+    x_full += low_rank
     obs = expfam.observed(frame, links)
     if not np.isfinite(x_full).all():
         raise InvalidInputError("parameter matrix contains non-finite entries")
@@ -384,40 +402,82 @@ def l_step(
     return step
 
 
+def _extrapolated(frame, links, dictionary, config, state, nuc, start, beta,
+                  bound):
+    """The extrapolated point y = x_k + beta (x_k - x_{k-1}) over both
+    blocks, as (its state, ||y_L||_*, F(y)) if F(y) < ``bound``, else None.
+
+    ``state`` and ``nuc`` are x_k and ||L_k||_*; ``start`` is x_{k-1} as
+    (alpha, L, ||L||_*).  A block that did not move is shared, not copied.
+    Before the SVD of y_L, the lower bound data_fit(y) + lam2 ||alpha_y||_1
+    + lam1 max(||y_L||_F, (1 + beta) ||L_k||_* - beta ||L_{k-1}||_*) rejects
+    y when it already reaches ``bound``; the triangle inequality makes it a
+    lower bound, so it changes no decision beyond rounding.  A y with a
+    non-finite parameter matrix or a link overflow is rejected.
+    """
+    alpha_prev, l_prev, nuc_prev = start
+
+    def ahead(now, before):
+        return now if now is before else now + beta * (now - before)
+
+    alpha, low_rank = ahead(state.alpha, alpha_prev), ahead(state.low_rank, l_prev)
+    try:
+        trial = make_state(frame, links, dictionary, alpha, low_rank)
+    except InvalidInputError:
+        return None
+    partial = trial.data_fit + config.lam2 * float(np.abs(alpha).sum())
+    if low_rank is state.low_rank:
+        trial_nuc = nuc
+    else:
+        floor = max(float(np.linalg.norm(low_rank)),
+                    (1.0 + beta) * nuc - beta * nuc_prev)
+        if partial + config.lam1 * floor >= bound:
+            return None
+        trial_nuc = nuclear_norm(low_rank)
+    value = partial + config.lam1 * trial_nuc
+    return (trial, trial_nuc, value) if value < bound else None
+
+
 def fit(
     frame: MixedDataFrame, links, dictionary: Dictionary, config: SolverConfig,
     init: tuple | None = None,
 ) -> ModelFit:
     """Alternate alpha and L updates from (0, 0) until the objective settles.
 
-    Stops when the relative objective change over one outer iteration drops
-    to ``config.eps_f`` and that iteration's L-step EM ran at
-    ``config.nuclear_tol`` (see the module docstring for the looser EM
-    tolerances before), or after ``config.max_outer`` iterations (reported
-    as ``converged=False``).  Any step failure aborts with the partial
+    Stops when the relative objective change over one outer iteration's
+    block steps drops to ``config.eps_f`` and that iteration's L-step EM ran
+    at ``config.nuclear_tol`` (see the module docstring for the looser EM
+    tolerances before and for the extrapolated points between iterations),
+    or after ``config.max_outer`` iterations (reported as
+    ``converged=False``).  Any step failure aborts with the partial
     objective trace attached.
+
+    ``init`` is (alpha, L) and is not copied: nothing writes it, and a block
+    that never moves is returned as the very array given, so a fit may share
+    its blocks with its ``init``.
     """
     start = time.perf_counter()
-    if init is None:
-        alpha0 = np.zeros(dictionary.n_atoms)
-        l0 = np.zeros(dictionary.shape)
-    else:
-        alpha0, l0 = (np.array(v, dtype=float) for v in init)
 
     def penalized(state, nuc):
         return (state.data_fit + config.lam1 * nuc
                 + config.lam2 * float(np.abs(state.alpha).sum()))
 
-    state = make_state(frame, links, dictionary, alpha0, l0)
+    # no local keeps the first blocks once the state has moved on
+    state = make_state(frame, links, dictionary, *(
+        (np.zeros(dictionary.n_atoms), np.zeros(dictionary.shape))
+        if init is None else init
+    ))
     nuc = 0.0 if init is None else nuclear_norm(state.low_rank)
     current = penalized(state, nuc)
     trace = [current]
     steps = []
     converged = False
-    n_iter = cap_hits = em_iters = 0
+    n_iter = cap_hits = em_iters = kept = 0
     em_tol = max(config.nuclear_tol, _EM_TOL_MAX)
+    momentum, last_decrease = 1.0, np.inf
     try:
         for _ in range(config.max_outer):
+            before = (state.alpha, state.low_rank, nuc)
             res = alpha_step(frame, links, dictionary, state, config)
             state, tau_a = res.state, res.tau
             res = l_step(frame, links, dictionary, state, config, nuc, em_tol)
@@ -427,12 +487,28 @@ def fit(
             em_iters += res.nuclear_iters
             n_iter += 1
             new_val = penalized(state, nuc)
+            scale = max(1.0, abs(current))
+            decrease = current - new_val
+            converged = (abs(decrease) <= config.eps_f * scale
+                         and em_tol == config.nuclear_tol)
+            if not converged and decrease >= _EXTRAPOLATE_RATIO * last_decrease:
+                following = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
+                beta, momentum = (momentum - 1.0) / following, following
+                if beta > 0:
+                    trial = _extrapolated(frame, links, dictionary, config,
+                                          state, nuc, before, beta, new_val)
+                    if trial is None:
+                        momentum = 1.0  # restart
+                    else:
+                        state, nuc, new_val = trial
+                        kept += 1
+            # x_k, when y replaced it, is freed before the next alpha step
+            res = trial = None
+            last_decrease = decrease
             trace.append(new_val)
             steps.append((tau_a, tau_l))
-            change, scale = abs(current - new_val), max(1.0, abs(current))
-            settled = change <= config.eps_f * scale
-            converged = settled and em_tol == config.nuclear_tol
-            em_tol = config.nuclear_tol if settled else max(
+            change = abs(current - new_val)
+            em_tol = config.nuclear_tol if change <= config.eps_f * scale else max(
                 config.nuclear_tol, min(_EM_TOL_MAX, change / scale)
             )
             current = new_val
@@ -455,6 +531,7 @@ def fit(
         wall_time=time.perf_counter() - start,
         nuclear_cap_hits=cap_hits,
         nuclear_iters=em_iters,
+        extrapolations=kept,
         dictionary=dictionary,
     )
 

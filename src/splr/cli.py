@@ -85,7 +85,8 @@ def cmd_fit(data_path, schema_path, dict_path, lambda1, lambda2, config_path, ou
         f"{report['n_iter']} iterations, rank {report['rank']}, "
         f"{report['alpha_nonzeros']} active coefficients, "
         f"{report['nuclear_cap_hits']} capped nuclear solves, "
-        f"{report['nuclear_iters']} nuclear EM iterations"
+        f"{report['nuclear_iters']} nuclear EM iterations, "
+        f"{report['extrapolations']} extrapolated points kept"
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 

@@ -88,22 +88,27 @@ def _fit_ours_holdout(instance):
 
 def _fit_baseline_holdout(instance):
     """Tune the two-step comparator's completion penalty on held-out cells,
-    drawn from the seed after the one our holdout uses."""
+    drawn from the seed after the one our holdout uses.  The penalties run
+    as a warm-started path, and the refit on all observed cells starts from
+    the chosen penalty's training solution."""
     frame = instance.frame
     rng = np.random.default_rng(instance.design.seed + 1)
     train, held = draw_holdout(frame, HOLDOUT_FRAC, rng)
     anchor = baseline_svt_anchor(train, instance.dictionary)
     lams = np.geomspace(anchor, anchor * 10.0 ** (-HOLDOUT_DECADES), 8)
     y_true = frame.values[held[:, 0], held[:, 1]]
-    best_lam, best_err = lams[0], np.inf
+    best_lam, best_err, best_l, warm = lams[0], np.inf, None, None
     for lam in lams:
-        base = group_mean_svt_baseline(train, instance.dictionary, float(lam))
+        base = group_mean_svt_baseline(train, instance.dictionary, float(lam),
+                                       init=warm)
+        warm = base.l_hat
         err = float(
             np.mean((base.x_hat[held[:, 0], held[:, 1]] - y_true) ** 2)
         )
         if err < best_err:
-            best_err, best_lam = err, float(lam)
-    return best_lam, group_mean_svt_baseline(frame, instance.dictionary, best_lam)
+            best_err, best_lam, best_l = err, float(lam), warm
+    return best_lam, group_mean_svt_baseline(frame, instance.dictionary, best_lam,
+                                             init=best_l)
 
 
 def simulated_noise_anchors(instance, seed: int = 0):
@@ -124,9 +129,19 @@ def simulated_noise_anchors(instance, seed: int = 0):
     return float(np.median(ops)), float(np.median(sups))
 
 
-def _row(instance, method, lam1, lam2, alpha_hat, l_hat, preds, **extra):
+def _row(instance, method, lam1, lam2, solve, preds, **extra):
     """One study row: the design, the method, its penalties, the config hash,
-    the error metrics of (alpha_hat, l_hat, preds), then ``extra``."""
+    the error metrics of (``solve.alpha_hat``, ``solve.l_hat``, preds), the
+    solve's ``n_iter`` and ``converged``, then ``extra``.  ``solve`` is the
+    fit that made the row (a ``ModelFit`` or ``BaselineFit``); None stands
+    for zero blocks and leaves ``n_iter`` and ``converged`` empty."""
+    if solve is None:
+        alpha_hat, l_hat = np.zeros(instance.dictionary.n_atoms), np.zeros(
+            instance.frame.shape)
+        n_iter = converged = None
+    else:
+        alpha_hat, l_hat = solve.alpha_hat, solve.l_hat
+        n_iter, converged = int(solve.n_iter), bool(solve.converged)
     return {
         **instance.design.to_json_dict(),
         "method": method,
@@ -134,6 +149,8 @@ def _row(instance, method, lam1, lam2, alpha_hat, l_hat, preds, **extra):
         "lambda2": lam2,
         "config_hash": _STUDY_HASH,
         **error_metrics(instance, alpha_hat, l_hat, preds).as_dict(),
+        "n_iter": n_iter,
+        "converged": converged,
         **extra,
     }
 
@@ -184,13 +201,13 @@ def run_estimation_study(
             instance = simulate_instance(design)
             lam1, lam2, ours = _fit_ours_holdout(instance)
             rows.append(_row(
-                instance, METHOD_OURS, lam1, lam2, ours.alpha_hat, ours.l_hat,
+                instance, METHOD_OURS, lam1, lam2, ours,
                 expfam.predicted_means(ours.x_hat, instance.links), rep=rep,
             ))
             lam_svt, base = _fit_baseline_holdout(instance)
             rows.append(_row(
-                instance, METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base.alpha_hat,
-                base.l_hat, base.x_hat, rep=rep,
+                instance, METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base, base.x_hat,
+                rep=rep,
             ))
     if out_dir is not None:
         _write_study(out_dir, "estimation", rows, {
@@ -258,18 +275,15 @@ def run_imputation_study(
                 instance = simulate_instance(design)
                 lam1, lam2, ours = _fit_ours_holdout(instance)
                 lam_svt, base = _fit_baseline_holdout(instance)
-                for method, l1, l2, alpha_hat, l_hat, preds in (
-                    (METHOD_OURS, lam1, lam2, ours.alpha_hat, ours.l_hat,
+                for method, l1, l2, solve, preds in (
+                    (METHOD_OURS, lam1, lam2, ours,
                      expfam.predicted_means(ours.x_hat, instance.links)),
-                    (METHOD_COLUMN_MEAN, 0.0, 0.0,
-                     np.zeros(instance.dictionary.n_atoms),
-                     np.zeros(instance.frame.shape),
+                    (METHOD_COLUMN_MEAN, 0.0, 0.0, None,
                      column_mean_predictions(instance.frame)),
-                    (METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base.alpha_hat,
-                     base.l_hat, base.x_hat),
+                    (METHOD_GROUP_MEAN_SVT, lam_svt, 0.0, base, base.x_hat),
                 ):
                     rows.append(_row(
-                        instance, method, l1, l2, alpha_hat, l_hat, preds,
+                        instance, method, l1, l2, solve, preds,
                         rep=rep, missing_frac=miss,
                         **_per_type_mse(instance, preds),
                     ))
@@ -336,7 +350,7 @@ def run_rate_study(
             result = fit(instance.frame, instance.links, instance.dictionary,
                          replace(STUDY_CONFIG, lam1=lam1, lam2=lam2))
             rows.append(_row(
-                instance, METHOD_OURS, lam1, lam2, result.alpha_hat, result.l_hat,
+                instance, METHOD_OURS, lam1, lam2, result,
                 expfam.predicted_means(result.x_hat, instance.links), rep=rep,
             ))
     summary = summarize_rate_rows(rows, m_list, p_obs, include_half_p, seed)

@@ -265,6 +265,7 @@ class BaselineFit:
     l_hat: np.ndarray
     x_hat: np.ndarray
     n_iter: int
+    converged: bool
 
 
 def column_mean_predictions(frame: MixedDataFrame) -> np.ndarray:
@@ -292,25 +293,30 @@ def _group_mean_residuals(frame: MixedDataFrame, dictionary):
 
 
 def group_mean_svt_baseline(
-    frame: MixedDataFrame, dictionary: GroupEffectsDictionary, lam: float
+    frame: MixedDataFrame, dictionary: GroupEffectsDictionary, lam: float,
+    init: np.ndarray | None = None,
 ) -> BaselineFit:
     """Group means per column, then soft-impute completion of the residuals.
 
     The completion is ``solve_weighted_nuclear``, the L-step's EM, with the
     observation mask as 0/1 weights: it blends the observed residuals into
     the iterate and soft-thresholds at ``lam / 2`` until the relative change
-    drops to ``_BASELINE_TOL`` or ``_BASELINE_MAX_ITER`` iterations have run.
+    drops to ``_BASELINE_TOL`` or ``_BASELINE_MAX_ITER`` iterations have run
+    (``converged`` false).  ``init``, the completion's first iterate, plays
+    the role of ``bcgd.fit``'s: a path of penalties warm-starts each solve
+    from the last one's ``l_hat`` (soft-impute's path, Mazumder, Hastie &
+    Tibshirani, 2010); without it the completion starts at zero.
     The data are treated numerically regardless of declared column types;
     all predictions live on the data scale.
     """
     alpha, main, resid = _group_mean_residuals(frame, dictionary)
     solve = solve_weighted_nuclear(
         WeightedNuclearProblem(frame.mask.astype(float), resid, lam),
-        _BASELINE_TOL, _BASELINE_MAX_ITER,
+        _BASELINE_TOL, _BASELINE_MAX_ITER, init=init,
     )
     return BaselineFit(
         alpha_hat=alpha, l_hat=solve.matrix, x_hat=main + solve.matrix,
-        n_iter=solve.n_iter,
+        n_iter=solve.n_iter, converged=solve.converged,
     )
 
 

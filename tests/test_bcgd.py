@@ -440,6 +440,122 @@ class TestFit:
             state = res_l.state
 
 
+class TestOuterExtrapolation:
+    """Extrapolated outer iterates, kept only below F(x_k), with restart."""
+
+    @staticmethod
+    def crawling_instance():
+        """A 30x8 mixed fit at a tenth of both anchors: its block steps crawl,
+        so it tries extrapolations, keeps most and rejects a few."""
+        frame, links, _ = make_mixed_instance(1, m1=30, m2=8, p_obs=0.7)
+        d = groups_dict(30, 8)
+        grid = default_grid(frame, links, d, n1=4, n2=4)
+        config = SolverConfig(lam1=0.1 * grid.lambda1_max,
+                              lam2=0.1 * grid.lambda2_max)
+        return frame, links, d, config
+
+    @staticmethod
+    def spied_fit(monkeypatch, frame, links, d, config):
+        """The fit with each trial's (beta, kept, nuclear_norm calls)."""
+        trials, calls = [], [0]
+        extrapolated, norm = bcgd._extrapolated, bcgd.nuclear_norm
+
+        def spy_norm(a):
+            calls[0] += 1
+            return norm(a)
+
+        def spy(*args):
+            before = calls[0]
+            out = extrapolated(*args)
+            trials.append((args[7], out is not None, calls[0] - before))
+            return out
+
+        monkeypatch.setattr(bcgd, "nuclear_norm", spy_norm)
+        monkeypatch.setattr(bcgd, "_extrapolated", spy)
+        result = fit(frame, links, d, config)
+        monkeypatch.undo()
+        return result, trials
+
+    def test_extrapolating_fit_descends(self, monkeypatch):
+        result, trials = self.spied_fit(monkeypatch, *self.crawling_instance())
+        assert result.converged
+        assert np.all(np.diff(result.objective_trace) <= 0.0)
+        assert result.extrapolations == sum(kept for _, kept, _ in trials) > 0
+        assert result.report()["extrapolations"] == result.extrapolations
+        # a kept trial moved L here, so it took exactly one exact norm
+        assert all(calls == 1 for _, kept, calls in trials if kept)
+
+    def test_rejected_trial_resets_momentum(self, monkeypatch):
+        """After a rejection the next trial has the first positive beta of
+        the FISTA sequence (t = 1 gives beta = 0 and no trial); after a kept
+        trial the next beta is larger."""
+        _, trials = self.spied_fit(monkeypatch, *self.crawling_instance())
+        t2 = 0.5 * (1.0 + np.sqrt(5.0))
+        first_beta = (t2 - 1.0) / (0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t2**2)))
+        assert trials[0][0] == pytest.approx(first_beta, rel=1e-15)
+        rejected = 0
+        for (beta, kept, _), (next_beta, _, _) in zip(trials, trials[1:]):
+            if kept:
+                assert next_beta > beta
+            else:
+                rejected += 1
+                assert next_beta == trials[0][0]
+        assert rejected > 0
+
+    def test_bound_rejection_takes_no_svd(self, rng, monkeypatch):
+        """A trial whose lower bound already reaches F(x_k) is rejected
+        without a nuclear_norm call; its exact objective agrees."""
+        frame, links, d, config = self.crawling_instance()
+        result = fit(frame, links, d, config)
+        state = bcgd.make_state(frame, links, d, result.alpha_hat, result.l_hat)
+        nuc = nuclear_norm(state.low_rank)
+        value = bcgd.objective(state.alpha, state.low_rank, frame, links, d,
+                               config.lam1, config.lam2)
+        l_prev = state.low_rank + rng.standard_normal(state.low_rank.shape)
+        start = (state.alpha, l_prev, nuclear_norm(l_prev))
+        beta = 0.5
+        calls = []
+        monkeypatch.setattr(bcgd, "nuclear_norm",
+                            lambda a: calls.append(1) or nuclear_norm(a))
+        assert bcgd._extrapolated(frame, links, d, config, state, nuc, start,
+                                  beta, value) is None
+        assert calls == []
+        y_l = state.low_rank + beta * (state.low_rank - l_prev)
+        assert bcgd.objective(state.alpha, y_l, frame, links, d,
+                              config.lam1, config.lam2) >= value
+
+    def test_kept_trial_value_is_the_objective(self):
+        """A fit cut right after its first kept trial ends at the
+        extrapolated point, and its last trace value is the objective
+        there."""
+        frame, links, d, config = self.crawling_instance()
+        for max_outer in range(1, 40):
+            result = fit(frame, links, d,
+                         dataclasses.replace(config, max_outer=max_outer))
+            if result.extrapolations:
+                break
+        assert result.extrapolations == 1 and not result.converged
+        final = bcgd.objective(result.alpha_hat, result.l_hat, frame, links, d,
+                               config.lam1, config.lam2)
+        assert result.objective_trace[-1] == pytest.approx(final, rel=1e-12)
+
+    def test_unmoved_block_is_the_init_array(self, rng):
+        """At the nuclear anchor L stays at its zero init, and the fit returns
+        that very array; read-only inits are read, never written."""
+        frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
+        d = groups_dict(12, 6)
+        grid = default_grid(frame, links, d, n1=2, n2=2)
+        alpha0, l0 = np.zeros(d.n_atoms), np.zeros((12, 6))
+        for block in (alpha0, l0):
+            block.flags.writeable = False
+        config = SolverConfig(lam1=2.0 * grid.lambda1_max,
+                              lam2=0.1 * grid.lambda2_max)
+        result = fit(frame, links, d, config, init=(alpha0, l0))
+        assert result.converged and result.alpha_nonzeros() > 0
+        assert result.l_hat is l0 and np.shares_memory(result.l_hat, l0)
+        assert not alpha0.any() and not l0.any()
+
+
 class TestRoundingZeroStep:
     @staticmethod
     def precision_floor_fit(seed):

@@ -119,6 +119,21 @@ class TestFitCommand:
             in capsys.readouterr().out
         )
 
+    def test_extrapolations_reported(self, workspace, capsys):
+        tmp, data, schema, dict_path = workspace
+        out = tmp / "extrapolated"
+        main([
+            "fit", "--data", str(data), "--schema", str(schema),
+            "--dict", str(dict_path), "--lambda1", "0.5", "--lambda2", "0.3",
+            "--out", str(out),
+        ])
+        kept = json.loads((out / "report.json").read_text())["extrapolations"]
+        assert isinstance(kept, int) and kept >= 0
+        assert (
+            f"nuclear EM iterations, {kept} extrapolated points kept\n"
+            in capsys.readouterr().out
+        )
+
     def test_unknown_config_key_exits_one(self, workspace):
         tmp, data, schema, dict_path = workspace
         cfg = tmp / "cfg.json"

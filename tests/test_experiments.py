@@ -1,5 +1,6 @@
 """Study harnesses: shapes, provenance, reproducibility, scaling contrast."""
 
+import csv
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from splr.simulate import (
     simulate_instance,
 )
 
-from conftest import lone_cell_frame, seed_whose_first_draw_empties
+from conftest import lone_cell_frame, record_results, seed_whose_first_draw_empties
 
 
 class TestEstimationStudy:
@@ -72,6 +73,28 @@ class TestImputationStudy:
         for row in rows:
             assert "mse_frame" in row and "mse_numeric" in row
         assert (tmp_path / "imputation_study.csv").exists()
+
+    def test_rows_carry_their_solve_record(self, tmp_path, monkeypatch):
+        """Each row has the n_iter and converged of the solve that made it:
+        the splr refit, the comparator's last completion; the column-mean
+        rows leave both empty in the CSV."""
+        selections = record_results(monkeypatch, experiments, "holdout_select")
+        completions = record_results(monkeypatch, experiments,
+                                     "group_mean_svt_baseline")
+        rows = run_imputation_study(
+            m1=30, m2=6, s=2, r=2, n_groups=3, n_reps=1, seed=1,
+            missing_fracs=(0.2, 0.6), ratios=(1.0,), out_dir=tmp_path,
+        )
+        assert len(completions) == 9 * len(selections) == 9 * 2
+        for k, (ours, mean, base) in enumerate(zip(*[iter(rows)] * 3)):
+            refit, last = selections[k][2], completions[9 * k + 8]
+            assert (ours["n_iter"], ours["converged"]) == (refit.n_iter, True)
+            assert (base["n_iter"], base["converged"]) == (last.n_iter, last.converged)
+            assert mean["n_iter"] is None and mean["converged"] is None
+        with open(tmp_path / "imputation_study.csv", encoding="utf-8") as fh:
+            written = list(csv.DictReader(fh))
+        assert [(r["n_iter"], r["converged"]) for r in written[:2]] == [
+            (str(rows[0]["n_iter"]), "True"), ("", "")]
 
     def test_masks_nested_within_replicate(self):
         rows = run_imputation_study(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from splr import simulate
 from splr.dictionary import GroupEffectsDictionary, equal_group_assignment
 from splr.exceptions import InvalidInputError
 from splr.frame import ColumnType, MixedDataFrame
@@ -18,7 +19,11 @@ from splr.simulate import (
     group_mean_svt_baseline,
     simulate_instance,
 )
-from splr.subsolvers import WeightedNuclearProblem, soft_threshold_singular_values
+from splr.subsolvers import (
+    WeightedNuclearProblem,
+    soft_threshold_singular_values,
+    solve_weighted_nuclear,
+)
 
 from conftest import reference_accelerated_em
 
@@ -226,6 +231,31 @@ class TestBaselines:
             assert n_iter <= plain_iter
             iters.append(n_iter)
         assert iters[0] < iters[1] < iters[2]
+
+    def test_init_starts_the_completion(self, monkeypatch):
+        """With ``init`` the completion is ``solve_weighted_nuclear`` from that
+        iterate, bit for bit; from the last penalty's solution it takes fewer
+        iterations than from zero, and a capped solve reports it."""
+        instance = simulate_instance(SimDesign(
+            m1=150, m2=30, s=3, r=2, p_obs=0.6, col_layout="mixed", box=6.0, seed=4,
+        ))
+        frame, d = instance.frame, instance.dictionary
+        _, main, resid = reference_group_means(frame, d)
+        anchor = baseline_svt_anchor(frame, d)
+        warm = group_mean_svt_baseline(frame, d, lam=0.1 * anchor).l_hat
+        lam = 0.05 * anchor
+        base = group_mean_svt_baseline(frame, d, lam=lam, init=warm)
+        solve = solve_weighted_nuclear(
+            WeightedNuclearProblem(frame.mask.astype(float), resid, lam),
+            simulate._BASELINE_TOL, simulate._BASELINE_MAX_ITER, init=warm,
+        )
+        np.testing.assert_array_equal(base.l_hat, solve.matrix)
+        np.testing.assert_array_equal(base.x_hat, main + solve.matrix)
+        assert (base.n_iter, base.converged) == (solve.n_iter, True)
+        assert base.n_iter < group_mean_svt_baseline(frame, d, lam=lam).n_iter
+        monkeypatch.setattr(simulate, "_BASELINE_MAX_ITER", 2)
+        capped = group_mean_svt_baseline(frame, d, lam=lam, init=warm)
+        assert (capped.n_iter, capped.converged) == (2, False)
 
     def test_single_group_fully_observed_gives_column_means(self, rng):
         m1, m2 = 10, 4
