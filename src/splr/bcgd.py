@@ -35,11 +35,10 @@ y = x_k + beta_k (x_k - x_{k-1}) over both blocks, with beta_k from the FISTA
 sequence (Beck & Teboulle, 2009), replaces x_k when its objective is below
 F(x_k), and the momentum restarts when it is not (O'Donoghue & Candes,
 2015).  So the trace stays nonincreasing.  A lower bound on F(y) that needs
-no SVD rejects most failing trials first.  A trial is made only once an
-outer iteration's decrease is at least half the one before it (the
-iterates crawl; in the fast early iterations the block steps are better on
-their own), and never on the iteration that converges, so a fit ends on a
-block step.
+no SVD can reject y before its SVD.  A trial is made only once an outer
+iteration's decrease is at least half the one before it, so only where the
+block steps crawl (a fast fit keeps the plain path), and never on the
+iteration that converges, so a fit ends on a block step.
 """
 
 from __future__ import annotations

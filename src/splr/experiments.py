@@ -136,8 +136,8 @@ def _row(instance, method, lam1, lam2, solve, preds, **extra):
     fit that made the row (a ``ModelFit`` or ``BaselineFit``); None stands
     for zero blocks and leaves ``n_iter`` and ``converged`` empty."""
     if solve is None:
-        alpha_hat, l_hat = np.zeros(instance.dictionary.n_atoms), np.zeros(
-            instance.frame.shape)
+        alpha_hat = np.zeros(instance.dictionary.n_atoms)
+        l_hat = np.zeros(instance.frame.shape)
         n_iter = converged = None
     else:
         alpha_hat, l_hat = solve.alpha_hat, solve.l_hat
