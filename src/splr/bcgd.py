@@ -34,8 +34,7 @@ iteration's two block steps from x_{k-1} to x_k, the point
 y = x_k + beta_k (x_k - x_{k-1}) over both blocks, with beta_k from the FISTA
 sequence (Beck & Teboulle, 2009), replaces x_k when its objective is below
 F(x_k), and the momentum restarts when it is not (O'Donoghue & Candes,
-2015).  So the trace stays nonincreasing.  A lower bound on F(y) that needs
-no SVD can reject y before its SVD.  A trial is made only once an outer
+2015).  So the trace stays nonincreasing.  A trial is made only once an outer
 iteration's decrease is at least half the one before it, so only where the
 block steps crawl (a fast fit keeps the plain path), and never on the
 iteration that converges, so a fit ends on a block step.
@@ -172,7 +171,11 @@ class _Reconstruction:
 
 @dataclass
 class ModelFit:
-    """Fitted coefficients, reconstruction, and convergence diagnostics."""
+    """Fitted coefficients, reconstruction, and convergence diagnostics.
+
+    A block that ``fit`` never moved from its ``init`` is a read-only view
+    of that init array, so it shares memory with the caller's array.
+    """
 
     alpha_hat: np.ndarray
     l_hat: np.ndarray
@@ -407,14 +410,11 @@ def _extrapolated(frame, links, dictionary, config, state, nuc, start, beta,
     blocks, as (its state, ||y_L||_*, F(y)) if F(y) < ``bound``, else None.
 
     ``state`` and ``nuc`` are x_k and ||L_k||_*; ``start`` is x_{k-1} as
-    (alpha, L, ||L||_*).  A block that did not move is shared, not copied.
-    Before the SVD of y_L, the lower bound data_fit(y) + lam2 ||alpha_y||_1
-    + lam1 max(||y_L||_F, (1 + beta) ||L_k||_* - beta ||L_{k-1}||_*) rejects
-    y when it already reaches ``bound``; the triangle inequality makes it a
-    lower bound, so it changes no decision beyond rounding.  A y with a
-    non-finite parameter matrix or a link overflow is rejected.
+    (alpha, L).  A block that did not move is shared, not copied, and an
+    unmoved L needs no SVD.  A y with a non-finite parameter matrix or a
+    link overflow is rejected.
     """
-    alpha_prev, l_prev, nuc_prev = start
+    alpha_prev, l_prev = start
 
     def ahead(now, before):
         return now if now is before else now + beta * (now - before)
@@ -424,17 +424,18 @@ def _extrapolated(frame, links, dictionary, config, state, nuc, start, beta,
         trial = make_state(frame, links, dictionary, alpha, low_rank)
     except InvalidInputError:
         return None
-    partial = trial.data_fit + config.lam2 * float(np.abs(alpha).sum())
-    if low_rank is state.low_rank:
-        trial_nuc = nuc
-    else:
-        floor = max(float(np.linalg.norm(low_rank)),
-                    (1.0 + beta) * nuc - beta * nuc_prev)
-        if partial + config.lam1 * floor >= bound:
-            return None
-        trial_nuc = nuclear_norm(low_rank)
-    value = partial + config.lam1 * trial_nuc
+    trial_nuc = nuc if low_rank is state.low_rank else nuclear_norm(low_rank)
+    value = (trial.data_fit + config.lam2 * float(np.abs(alpha).sum())
+             + config.lam1 * trial_nuc)
     return (trial, trial_nuc, value) if value < bound else None
+
+
+def _read_only(block):
+    """A read-only float view of ``block``: it shares the caller's memory
+    and makes any later write to it, through the fit, an error."""
+    view = np.asarray(block, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 def fit(
@@ -451,9 +452,8 @@ def fit(
     ``converged=False``).  Any step failure aborts with the partial
     objective trace attached.
 
-    ``init`` is (alpha, L) and is not copied: nothing writes it, and a block
-    that never moves is returned as the very array given, so a fit may share
-    its blocks with its ``init``.
+    ``init`` is (alpha, L) and is not copied: a block that never moves is
+    returned as a read-only view of the array given (see ``ModelFit``).
     """
     start = time.perf_counter()
 
@@ -464,7 +464,7 @@ def fit(
     # no local keeps the first blocks once the state has moved on
     state = make_state(frame, links, dictionary, *(
         (np.zeros(dictionary.n_atoms), np.zeros(dictionary.shape))
-        if init is None else init
+        if init is None else map(_read_only, init)
     ))
     nuc = 0.0 if init is None else nuclear_norm(state.low_rank)
     current = penalized(state, nuc)
@@ -476,7 +476,7 @@ def fit(
     momentum, last_decrease = 1.0, np.inf
     try:
         for _ in range(config.max_outer):
-            before = (state.alpha, state.low_rank, nuc)
+            before = (state.alpha, state.low_rank)
             res = alpha_step(frame, links, dictionary, state, config)
             state, tau_a = res.state, res.tau
             res = l_step(frame, links, dictionary, state, config, nuc, em_tol)

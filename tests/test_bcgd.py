@@ -502,28 +502,6 @@ class TestOuterExtrapolation:
                 assert next_beta == trials[0][0]
         assert rejected > 0
 
-    def test_bound_rejection_takes_no_svd(self, rng, monkeypatch):
-        """A trial whose lower bound already reaches F(x_k) is rejected
-        without a nuclear_norm call; its exact objective agrees."""
-        frame, links, d, config = self.crawling_instance()
-        result = fit(frame, links, d, config)
-        state = bcgd.make_state(frame, links, d, result.alpha_hat, result.l_hat)
-        nuc = nuclear_norm(state.low_rank)
-        value = bcgd.objective(state.alpha, state.low_rank, frame, links, d,
-                               config.lam1, config.lam2)
-        l_prev = state.low_rank + rng.standard_normal(state.low_rank.shape)
-        start = (state.alpha, l_prev, nuclear_norm(l_prev))
-        beta = 0.5
-        calls = []
-        monkeypatch.setattr(bcgd, "nuclear_norm",
-                            lambda a: calls.append(1) or nuclear_norm(a))
-        assert bcgd._extrapolated(frame, links, d, config, state, nuc, start,
-                                  beta, value) is None
-        assert calls == []
-        y_l = state.low_rank + beta * (state.low_rank - l_prev)
-        assert bcgd.objective(state.alpha, y_l, frame, links, d,
-                              config.lam1, config.lam2) >= value
-
     def test_kept_trial_value_is_the_objective(self):
         """A fit cut right after its first kept trial ends at the
         extrapolated point, and its last trace value is the objective
@@ -541,7 +519,8 @@ class TestOuterExtrapolation:
 
     def test_unmoved_block_is_the_init_array(self, rng):
         """At the nuclear anchor L stays at its zero init, and the fit returns
-        that very array; read-only inits are read, never written."""
+        a read-only view of that array; read-only inits are read, never
+        written."""
         frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
         d = groups_dict(12, 6)
         grid = default_grid(frame, links, d, n1=2, n2=2)
@@ -552,7 +531,8 @@ class TestOuterExtrapolation:
                               lam2=0.1 * grid.lambda2_max)
         result = fit(frame, links, d, config, init=(alpha0, l0))
         assert result.converged and result.alpha_nonzeros() > 0
-        assert result.l_hat is l0 and np.shares_memory(result.l_hat, l0)
+        assert np.shares_memory(result.l_hat, l0)
+        assert not result.l_hat.flags.writeable
         assert not alpha0.any() and not l0.any()
 
 
