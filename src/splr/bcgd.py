@@ -12,9 +12,9 @@ weighted Lasso and its L block as a weighted nuclear-norm problem, and then
 backtracks each block's step length by one Armijo rule (Tseng & Yun, 2009)
 until the true objective beats a fixed fraction of the model-predicted
 decrease (the rule's constants are ``SolverConfig`` class constants, and
-``_STALL_FLOOR`` ends a stalled search).  Each trial is a fresh iterate,
-built by ``make_state`` from its two blocks like the first one, so the
-parameter matrix and data fit that a step reads never drift from them.
+``_STALL_FLOOR`` ends a stalled search).  Each trial is a fresh iterate, a
+``_Move``'s ``make_state`` at block + t * direction like the first one, so
+the parameter matrix and data fit that a step reads never drift from them.
 That decrease is strictly negative for a nonzero direction, which makes the
 objective trace nonincreasing.  A non-negative one within the rounding error
 of its terms is a zero step; a larger one raises ``InternalConsistencyError``.
@@ -31,13 +31,13 @@ iteration whose EM ran at ``nuclear_tol``.
 
 The outer iterates are extrapolated as in Xu & Yin (2013): after an outer
 iteration's two block steps from x_{k-1} to x_k, the point
-y = x_k + beta_k (x_k - x_{k-1}) over both blocks, with beta_k from the FISTA
-sequence (Beck & Teboulle, 2009), replaces x_k when its objective is below
-F(x_k), and the momentum restarts when it is not (O'Donoghue & Candes,
-2015).  So the trace stays nonincreasing.  A trial is made only once an outer
-iteration's decrease is at least half the one before it, so only where the
-block steps crawl (a fast fit keeps the plain path), and never on the
-iteration that converges, so a fit ends on a block step.
+y = x_k + beta_k (x_k - x_{k-1}), a ``_Move`` over both blocks at t = beta_k
+from the FISTA sequence (Beck & Teboulle, 2009), replaces x_k when its
+objective is below F(x_k), and the momentum restarts when it is not
+(O'Donoghue & Candes, 2015).  So the trace stays nonincreasing.  A trial is
+made only once an outer iteration's decrease is at least half the one before
+it, so only where the block steps crawl (a fast fit keeps the plain path),
+and never on the iteration that converges, so a fit ends on a block step.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ class StepResult:
     tau: float
     model_decrease: float
     penalty: float
-    nuclear_capped: bool = False
-    nuclear_iters: int = 0
 
 
 class _Reconstruction:
@@ -217,14 +215,22 @@ class ModelFit:
         }
 
 
+def _l1(a) -> float:
+    return float(np.abs(a).sum())
+
+
+def _penalized(state, nuc, lam1, lam2) -> float:
+    """F at ``state``, given its nuclear norm ``nuc``."""
+    return state.data_fit + lam1 * nuc + lam2 * _l1(state.alpha)
+
+
 def objective(
     alpha, low_rank, frame: MixedDataFrame, links, dictionary: Dictionary,
     lam1: float, lam2: float,
 ) -> float:
     """Penalized negative quasi-log-likelihood at (alpha, L)."""
     state = make_state(frame, links, dictionary, alpha, low_rank)
-    return (state.data_fit + lam1 * nuclear_norm(state.low_rank)
-            + lam2 * float(np.abs(state.alpha).sum()))
+    return _penalized(state, nuclear_norm(state.low_rank), lam1, lam2)
 
 
 def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
@@ -246,56 +252,84 @@ def make_state(frame, links, dictionary, alpha, low_rank) -> FitState:
     return FitState(alpha, low_rank, x, expfam.quasi_loglik_neg(x, obs), obs)
 
 
-def _armijo(state, config, name, block, direction, lin, lin_abs, lam,
-            pen_now, pen_at, pen_err, state_at):
+@dataclass
+class _Move:
+    """``state`` moved by t (``alpha_dir``, ``l_dir``) in ``problem``, (frame,
+    links, dictionary); ``at(t)`` shares a block with no direction, not a
+    copy.  A block step moves one block and holds its Armijo terms."""
+
+    problem: tuple
+    state: FitState
+    alpha_dir: np.ndarray | None = None
+    l_dir: np.ndarray | None = None
+    lam: float = 0.0
+    lin: float = 0.0
+    lin_abs: float = 0.0
+    pen_now: float = 0.0
+    pen_full: float = 0.0
+    pen_err: float = 0.0
+
+    def at(self, t) -> FitState:
+        alpha, low_rank = self.state.alpha, self.state.low_rank
+        return make_state(
+            *self.problem,
+            alpha if self.alpha_dir is None else alpha + t * self.alpha_dir,
+            low_rank if self.l_dir is None else low_rank + t * self.l_dir,
+        )
+
+
+def _armijo(move, config):
     """The Armijo rule of both block steps (Tseng & Yun, 2009).
 
-    Moving ``block`` by ``direction`` (its field in parameter space) has the
-    predicted decrease -2 lin + nu ||direction||^2 + lam (P(1) - P(0)), with
-    lin = sum(w * Z * field), ``lin_abs`` the absolute sum of its terms, and
-    P(t) = ``pen_at(t)`` the penalty norm at block + t * direction (P(0) =
-    ``pen_now``).  tau shrinks from ``tau_init`` until the objective at
-    ``state_at(tau)``, the ``make_state`` at block + tau * direction, beats
-    ``slope`` * tau times that; a trial that raises ``InvalidInputError`` (a
-    non-finite parameter matrix or a link overflow) is a rejected step.
-    Returns the ``StepResult`` at the accepted trial, or at ``state`` with
-    tau 0 for a zero step.
-
-    A zero step is a direction below ``_ZERO_DIRECTION_RTOL`` of the block, or
-    a non-negative decrease within rounding: (N + 4) eps of the absolute sums
-    (N = ``state.low_rank.size``, the field's size; a sum of N terms in any
-    order errs by at most (N - 1) eps of theirs) plus lam * ``pen_err``, a
-    bound on the rounding error of P(1) - P(0).  A decrease above that raises
+    ``move`` moves one block by d, with field f in parameter space, and
+    predicts the decrease -2 lin + nu ||d||^2 + lam (P(1) - P(0)): lin =
+    sum(w * Z * f), ``lin_abs`` the absolute sum of its terms, P(t) the
+    block's penalty norm at block + t d (``pen_now``, ``pen_full`` at the
+    ends).  tau shrinks from ``tau_init`` until the objective at
+    ``move.at(tau)`` beats ``slope`` * tau times that; a trial that raises
+    ``InvalidInputError`` (a non-finite parameter matrix or a link overflow)
+    is rejected.  Returns the ``StepResult`` at the accepted trial, or at
+    the state with tau 0 for a zero step: a d below ``_ZERO_DIRECTION_RTOL``
+    of the block, or a non-negative decrease within (N + 4) eps of the
+    absolute sums (N = ``state.low_rank.size``, the field's size; a sum of N
+    terms in any order errs by at most (N - 1) eps of theirs) plus lam *
+    ``pen_err``, the rounding bound of P(1) - P(0).  A larger one raises
     ``InternalConsistencyError``.
     """
+    state, lam, pen_now = move.state, move.lam, move.pen_now
+    moves_alpha = move.l_dir is None
+    block, direction = ((state.alpha, move.alpha_dir) if moves_alpha
+                        else (state.low_rank, move.l_dir))
     dir_norm = float(np.linalg.norm(direction))
-    if dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block)):
-        return StepResult(state, 0.0, 0.0, pen_now)
+    tiny = dir_norm <= _ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block))
     model_decrease = (
-        -2.0 * lin + config.nu * dir_norm**2 + lam * (pen_at(1.0) - pen_now)
+        -2.0 * move.lin + config.nu * dir_norm**2 + lam * (move.pen_full - pen_now)
     )
-    if model_decrease >= 0.0:
+    if tiny or model_decrease >= 0.0:
         bound = (
             _EPS * (state.low_rank.size + 4)
-            * (2.0 * lin_abs + config.nu * dir_norm**2)
-            + lam * pen_err
+            * (2.0 * move.lin_abs + config.nu * dir_norm**2)
+            + lam * move.pen_err
         )
-        if model_decrease <= bound:
+        if tiny or model_decrease <= bound:
             return StepResult(state, 0.0, 0.0, pen_now)
         raise InternalConsistencyError(
-            f"{name} predicted decrease {model_decrease:.3e} is not negative "
-            f"for a nonzero direction (rounding bound {bound:.1e})"
+            f"{'alpha-step' if moves_alpha else 'L-step'} predicted decrease "
+            f"{model_decrease:.3e} is not negative for a nonzero direction "
+            f"(rounding bound {bound:.1e})"
         )
 
     base = state.data_fit + lam * pen_now
     tau = config.tau_init
     while True:
         try:
-            trial = state_at(tau)
+            trial = move.at(tau)
         except InvalidInputError:
             pass
         else:
-            pen_trial = pen_at(tau)
+            pen_trial = (move.pen_full if tau == 1.0
+                         else _l1(trial.alpha) if moves_alpha
+                         else nuclear_norm(trial.low_rank))
             if (trial.data_fit + lam * pen_trial
                     <= base + tau * config.slope * model_decrease):
                 return StepResult(trial, tau, model_decrease, pen_trial)
@@ -328,19 +362,12 @@ def alpha_step(
     direction = solution - state.alpha
     lin, lin_abs = _sums(weights * working * dictionary.apply(direction))
     del weights, working  # full-size, and the line search needs neither
-    l1_now = float(np.abs(state.alpha).sum())
-
-    def l1_at(t):
-        return float(np.abs(state.alpha + t * direction).sum())
-
-    # a sum of n terms errs by at most (n - 1) eps of their absolute sum
-    return _armijo(
-        state, config, "alpha-step", state.alpha, direction, lin, lin_abs,
-        config.lam2, l1_now, l1_at,
-        _EPS * (direction.size + 4) * (l1_now + l1_at(1.0)),
-        lambda t: make_state(frame, links, dictionary,
-                             state.alpha + t * direction, state.low_rank),
-    )
+    l1_now, l1_full = _l1(state.alpha), _l1(state.alpha + direction)
+    return _armijo(_Move(
+        (frame, links, dictionary), state, alpha_dir=direction, lam=config.lam2,
+        lin=lin, lin_abs=lin_abs, pen_now=l1_now, pen_full=l1_full,
+        pen_err=_EPS * (direction.size + 4) * (l1_now + l1_full),
+    ), config)
 
 
 def _nuclear_model(weights, working, low_rank, config):
@@ -362,71 +389,47 @@ def l_step(
     frame: MixedDataFrame, links, dictionary: Dictionary,
     state: FitState, config: SolverConfig,
     nuclear_current: float, nuclear_tol: float,
-) -> StepResult:
+) -> tuple[StepResult, int, bool]:
     """One interactions update: weighted nuclear direction plus Armijo step.
 
     ``nuclear_current`` is ||state.low_rank||_*; the EM stops at ``nuclear_tol``.
+    Returns (the step, the EM's iterations, whether the EM converged).
     """
     weighted_working, prob = _nuclear_model(
         expfam.curvature_weights(state.x, state.obs),
         expfam.working_responses(state.x, state.obs),
         state.low_rank, config,
     )
-    solve = solve_weighted_nuclear(
-        prob,
-        nuclear_tol,
-        config.nuclear_max_iter,
-        init=state.low_rank,
-        init_nuclear=nuclear_current,
-    )
+    solve = solve_weighted_nuclear(prob, nuclear_tol, config.nuclear_max_iter,
+                                   init=state.low_rank, init_nuclear=nuclear_current)
     del prob
     direction = solve.matrix - state.low_rank
     lin, lin_abs = _sums(weighted_working * direction)
     del weighted_working  # full-size, and the line search does not need it
-
-    def nuclear_at(t):
-        # the full step lands on the EM solution, whose norm the EM returned
-        if t == 1.0:
-            return solve.nuclear
-        return nuclear_norm(state.low_rank + t * direction)
-
     # P(1) is the EM's last shrink sum, good to _GRAM_RTOL of its SVT input's
     # spectral norm, which that sum plus the SVT threshold bounds; P(0) and
     # the other norms come from the SVT or a LAPACK SVD, good to _GRAM_RTOL
-    step = _armijo(
-        state, config, "L-step", state.low_rank, direction, lin, lin_abs,
-        config.lam1, nuclear_current, nuclear_at,
-        _GRAM_RTOL * (nuclear_current + solve.nuclear + solve.threshold),
-        lambda t: make_state(frame, links, dictionary,
-                             state.alpha, state.low_rank + t * direction),
-    )
-    step.nuclear_capped, step.nuclear_iters = not solve.converged, solve.n_iter
-    return step
+    step = _armijo(_Move(
+        (frame, links, dictionary), state, l_dir=direction, lam=config.lam1,
+        lin=lin, lin_abs=lin_abs, pen_now=nuclear_current, pen_full=solve.nuclear,
+        pen_err=_GRAM_RTOL * (nuclear_current + solve.nuclear + solve.threshold),
+    ), config)
+    return step, solve.n_iter, solve.converged
 
 
-def _extrapolated(frame, links, dictionary, config, state, nuc, start, beta,
-                  bound):
-    """The extrapolated point y = x_k + beta (x_k - x_{k-1}) over both
-    blocks, as (its state, ||y_L||_*, F(y)) if F(y) < ``bound``, else None.
-
-    ``state`` and ``nuc`` are x_k and ||L_k||_*; ``start`` is x_{k-1} as
-    (alpha, L).  A block that did not move is shared, not copied, and an
-    unmoved L needs no SVD.  A y with a non-finite parameter matrix or a
-    link overflow is rejected.
-    """
-    alpha_prev, l_prev = start
-
-    def ahead(now, before):
-        return now if now is before else now + beta * (now - before)
-
-    alpha, low_rank = ahead(state.alpha, alpha_prev), ahead(state.low_rank, l_prev)
+def _extrapolated(problem, state, start, beta, nuc, config, bound):
+    """y = x_k + beta (x_k - x_{k-1}), a ``_Move`` over both blocks, as (its
+    state, ||y_L||_*, F(y)) if F(y) < ``bound``, else None.  ``state`` and
+    ``nuc`` are x_k and ||L_k||_*, ``start`` is x_{k-1} as (alpha, L); a y
+    that raises ``InvalidInputError`` is rejected."""
+    move = _Move(problem, state, *(None if now is then else now - then for now, then
+                                   in zip((state.alpha, state.low_rank), start)))
     try:
-        trial = make_state(frame, links, dictionary, alpha, low_rank)
+        trial = move.at(beta)
     except InvalidInputError:
         return None
-    trial_nuc = nuc if low_rank is state.low_rank else nuclear_norm(low_rank)
-    value = (trial.data_fit + config.lam2 * float(np.abs(alpha).sum())
-             + config.lam1 * trial_nuc)
+    trial_nuc = nuc if move.l_dir is None else nuclear_norm(trial.low_rank)
+    value = _penalized(trial, trial_nuc, config.lam1, config.lam2)
     return (trial, trial_nuc, value) if value < bound else None
 
 
@@ -456,22 +459,17 @@ def fit(
     returned as a read-only view of the array given (see ``ModelFit``).
     """
     start = time.perf_counter()
-
-    def penalized(state, nuc):
-        return (state.data_fit + config.lam1 * nuc
-                + config.lam2 * float(np.abs(state.alpha).sum()))
-
     # no local keeps the first blocks once the state has moved on
     state = make_state(frame, links, dictionary, *(
         (np.zeros(dictionary.n_atoms), np.zeros(dictionary.shape))
         if init is None else map(_read_only, init)
     ))
     nuc = 0.0 if init is None else nuclear_norm(state.low_rank)
-    current = penalized(state, nuc)
+    current = _penalized(state, nuc, config.lam1, config.lam2)
     trace = [current]
     steps = []
     converged = False
-    n_iter = cap_hits = em_iters = kept = 0
+    cap_hits = em_iters = kept = 0
     em_tol = max(config.nuclear_tol, _EM_TOL_MAX)
     momentum, last_decrease = 1.0, np.inf
     try:
@@ -479,13 +477,12 @@ def fit(
             before = (state.alpha, state.low_rank)
             res = alpha_step(frame, links, dictionary, state, config)
             state, tau_a = res.state, res.tau
-            res = l_step(frame, links, dictionary, state, config, nuc, em_tol)
-            state, tau_l = res.state, res.tau
-            nuc = res.penalty
-            cap_hits += res.nuclear_capped
-            em_iters += res.nuclear_iters
-            n_iter += 1
-            new_val = penalized(state, nuc)
+            res, em_n, em_converged = l_step(frame, links, dictionary, state,
+                                             config, nuc, em_tol)
+            state, tau_l, nuc = res.state, res.tau, res.penalty
+            cap_hits += not em_converged
+            em_iters += em_n
+            new_val = _penalized(state, nuc, config.lam1, config.lam2)
             scale = max(1.0, abs(current))
             decrease = current - new_val
             converged = (abs(decrease) <= config.eps_f * scale
@@ -494,8 +491,8 @@ def fit(
                 following = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
                 beta, momentum = (momentum - 1.0) / following, following
                 if beta > 0:
-                    trial = _extrapolated(frame, links, dictionary, config,
-                                          state, nuc, before, beta, new_val)
+                    trial = _extrapolated((frame, links, dictionary), state,
+                                          before, beta, nuc, config, new_val)
                     if trial is None:
                         momentum = 1.0  # restart
                     else:
@@ -515,7 +512,7 @@ def fit(
                 break
     except SplrError as exc:
         raise FitAbortedError(
-            f"fit aborted at outer iteration {n_iter + 1}: {exc}", trace=trace
+            f"fit aborted at outer iteration {len(steps) + 1}: {exc}", trace=trace
         ) from exc
 
     return ModelFit(
@@ -525,7 +522,7 @@ def fit(
         objective_trace=np.asarray(trace),
         step_trace=steps,
         converged=converged,
-        n_iter=n_iter,
+        n_iter=len(steps),
         config=config,
         wall_time=time.perf_counter() - start,
         nuclear_cap_hits=cap_hits,

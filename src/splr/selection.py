@@ -201,10 +201,12 @@ def path_errors(
 
     Returns (error matrix, per-type error matrices, the fit at the pair that
     ``choose_best`` picks), indexed by (i1, i2) positions in the grid arrays.
-    Only that fit is kept, since each holds dense m1 x m2 matrices.
+    Only that fit is kept, since each holds dense m1 x m2 matrices.  A held
+    cell still observed in ``train_frame`` raises ``InvalidInputError``.
     """
     rows, cols = holdout_coords[:, 0], holdout_coords[:, 1]
-    assert not train_frame.mask[rows, cols].any(), "held-out cells leaked into training"
+    if train_frame.mask[rows, cols].any():
+        raise InvalidInputError("held-out cells are still observed in train_frame")
     types = [train_frame.column_types[j].value for j in cols]
     type_sel = {t: np.array(types) == t for t in sorted(set(types))}
 

@@ -117,8 +117,8 @@ def _svt_with_diagnostics(a, lam, out=None):
     The output is written into ``out`` when given (C-contiguous, the input's
     shape).  ``out`` may be the input itself: every product that reads the
     input is formed before the output is written.  Returns (thresholded
-    matrix, shrink sum = its nuclear norm, kept rank, sum of squared shrunk
-    values = its squared Frobenius norm).
+    matrix, shrink sum = its nuclear norm, sum of squared shrunk values = its
+    squared Frobenius norm).
     """
     tall = a.shape[0] >= a.shape[1]
     gram = a.T @ a if tall else a @ a.T
@@ -137,7 +137,7 @@ def _svt_with_diagnostics(a, lam, out=None):
         shrunk = np.maximum(s - lam, 0.0)
         keep = shrunk > 0
         out = np.matmul(u[:, keep] * shrunk[keep], vt[keep], out=out)
-        return out, float(shrunk.sum()), int(keep.sum()), float(shrunk @ shrunk)
+        return out, float(shrunk.sum()), float(shrunk @ shrunk)
     roots = np.sqrt(evals)
     shrunk = roots - lam
     gain = 1.0 - lam / roots
@@ -145,7 +145,7 @@ def _svt_with_diagnostics(a, lam, out=None):
         out = np.matmul((a @ evecs) * gain, evecs.T, out=out)
     else:
         out = np.matmul(evecs * gain, evecs.T @ a, out=out)
-    return out, float(shrunk.sum()), len(roots), float(shrunk @ shrunk)
+    return out, float(shrunk.sum()), float(shrunk @ shrunk)
 
 
 def soft_threshold_singular_values(a, lam: float):
@@ -431,7 +431,7 @@ def solve_weighted_nuclear(
         blended *= prob.weights
         blended /= w_max
         blended += point
-        new, new_nuc, _, new_sq = _svt_with_diagnostics(blended, threshold, out=blended)
+        new, new_nuc, new_sq = _svt_with_diagnostics(blended, threshold, out=blended)
         uphill = False
         if beta > 0:  # (y - x_new) . (x_new - x_k) > 0
             gap = np.subtract(point, new, out=previous)

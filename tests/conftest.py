@@ -232,7 +232,7 @@ def reference_accelerated_em(prob, tol, max_iter, init=None):
         beta = (t - 1.0) / t_next
         point = current + (current - previous) * beta if beta > 0 else current
         blended = (targets - point) * weights / w_max + point
-        new, new_nuc, _, new_sq = subsolvers._svt_with_diagnostics(blended, threshold)
+        new, new_nuc, new_sq = subsolvers._svt_with_diagnostics(blended, threshold)
         uphill = beta > 0 and np.vdot(point - new, new) > np.vdot(point - new, current)
         new_obj = objective(new, new_nuc)
         if beta > 0 and new_obj > obj:

@@ -53,9 +53,9 @@ def groups_dict(m1, m2, h=3):
 
 
 def tight_l_step(frame, links, d, state, config):
-    """An L-step whose EM runs to ``config.nuclear_tol``."""
+    """An L-step whose EM runs to ``config.nuclear_tol``; its step only."""
     return l_step(frame, links, d, state, config,
-                  nuclear_norm(state.low_rank), config.nuclear_tol)
+                  nuclear_norm(state.low_rank), config.nuclear_tol)[0]
 
 
 def spy_directions(monkeypatch):
@@ -63,9 +63,12 @@ def spy_directions(monkeypatch):
     step's name ("alpha-step", "L-step")."""
     seen, armijo = {}, bcgd._armijo
 
-    def spy(state, config, name, block, direction, *rest):
-        seen[name] = direction.copy()
-        return armijo(state, config, name, block, direction, *rest)
+    def spy(move, config):
+        if move.l_dir is None:
+            seen["alpha-step"] = move.alpha_dir.copy()
+        else:
+            seen["L-step"] = move.l_dir.copy()
+        return armijo(move, config)
 
     monkeypatch.setattr(bcgd, "_armijo", spy)
     return seen
@@ -464,10 +467,10 @@ class TestOuterExtrapolation:
             calls[0] += 1
             return norm(a)
 
-        def spy(*args):
+        def spy(problem, state, start, beta, *rest):
             before = calls[0]
-            out = extrapolated(*args)
-            trials.append((args[7], out is not None, calls[0] - before))
+            out = extrapolated(problem, state, start, beta, *rest)
+            trials.append((beta, out is not None, calls[0] - before))
             return out
 
         monkeypatch.setattr(bcgd, "nuclear_norm", spy_norm)
@@ -536,6 +539,50 @@ class TestOuterExtrapolation:
         assert not alpha0.any() and not l0.any()
 
 
+class TestStepsByName:
+    """The benchmark's tracer wraps ``bcgd.alpha_step`` and ``bcgd.l_step``
+    by name and counts the data-fit evaluations made inside them as
+    line-search trials, so ``fit`` must look both up at call time and run
+    every trial inside them."""
+
+    def test_trials_run_inside_the_wrapped_steps(self, rng, monkeypatch):
+        frame, links = gaussian_frame(rng, 12, 6, p_obs=0.6)
+        d = groups_dict(12, 6)
+        calls, evals, inside = {}, {}, []
+        loglik = expfam.quasi_loglik_neg
+
+        def counted_loglik(*args):
+            if inside:
+                evals[inside[-1]] = evals.get(inside[-1], 0) + 1
+            return loglik(*args)
+
+        def counting(name, step):
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                inside.append(name)
+                try:
+                    return step(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        monkeypatch.setattr(expfam, "quasi_loglik_neg", counted_loglik)
+        for name in ("alpha_step", "l_step"):
+            monkeypatch.setattr(bcgd, name, counting(name, getattr(bcgd, name)))
+        result = fit(frame, links, d, SolverConfig(lam1=0.3, lam2=0.2))
+        monkeypatch.undo()
+
+        def trials(tau):  # tau_init 1 halved per backtrack; a zero step tries none
+            return 0 if tau == 0.0 else 1 + round(np.log2(1.0 / tau))
+
+        assert result.converged and result.n_iter > 1
+        assert calls == {"alpha_step": result.n_iter, "l_step": result.n_iter}
+        assert evals == {
+            "alpha_step": sum(trials(tau) for tau, _ in result.step_trace),
+            "l_step": sum(trials(tau) for _, tau in result.step_trace),
+        }
+
+
 class TestRoundingZeroStep:
     @staticmethod
     def precision_floor_fit(seed):
@@ -559,12 +606,13 @@ class TestRoundingZeroStep:
         (+2e-15 on seed 291, from l1 sums near 7 and 11): a zero step."""
         armijo, last = bcgd._armijo, {}
 
-        def spy(state, config, name, block, direction, *rest):
-            out = armijo(state, config, name, block, direction, *rest)
-            if name == "alpha-step":
+        def spy(move, config):
+            out = armijo(move, config)
+            if move.l_dir is None:
                 last["moved"] = out.tau > 0.0
-                last["above_floor"] = np.linalg.norm(direction) > (
-                    bcgd._ZERO_DIRECTION_RTOL * max(1.0, np.linalg.norm(block))
+                floor = max(1.0, np.linalg.norm(move.state.alpha))
+                last["above_floor"] = np.linalg.norm(move.alpha_dir) > (
+                    bcgd._ZERO_DIRECTION_RTOL * floor
                 )
             return out
 
@@ -582,9 +630,10 @@ class TestRoundingZeroStep:
         config = SolverConfig(lam1=0.3, lam2=0.1)
         state = bcgd.make_state(frame, links, d, rng.standard_normal(d.n_atoms),
                                 0.1 * rng.standard_normal((8, 5)))
-        sums = bcgd._sums
+        armijo = bcgd._armijo
         # a linear term of -1e3 predicts a rise of about 2e3
-        monkeypatch.setattr(bcgd, "_sums", lambda terms: (-1e3, sums(terms)[1]))
+        monkeypatch.setattr(bcgd, "_armijo", lambda move, config: armijo(
+            dataclasses.replace(move, lin=-1e3), config))
         with pytest.raises(InternalConsistencyError, match="is not negative"):
             step(frame, links, d, state, config)
 
@@ -608,14 +657,11 @@ class TestRoundingZeroStep:
 
         def armijo(decrease):
             lin = (nu_d2 + lam * (pen_full - pen_now) - decrease) / 2.0
-            return bcgd._armijo(
-                state, config, "alpha-step", state.alpha, direction, lin,
-                lin_abs, lam, pen_now,
-                lambda t: pen_full if t == 1.0 else pen_now,
-                norm_rtol * (pen_now + pen_full),
-                lambda t: bcgd.make_state(frame, links, d,
-                                          state.alpha + t * direction, state.low_rank),
-            )
+            return bcgd._armijo(bcgd._Move(
+                (frame, links, d), state, alpha_dir=direction, lam=lam, lin=lin,
+                lin_abs=lin_abs, pen_now=pen_now, pen_full=pen_full,
+                pen_err=norm_rtol * (pen_now + pen_full),
+            ), config)
 
         zero = armijo(0.5 * bound)
         assert zero.tau == 0.0 and zero.state is state and zero.penalty == pen_now
@@ -646,11 +692,13 @@ class TestArmijoFiniteness:
                 low_rank[unobserved] = np.inf
             return bcgd.make_state(frame, links, d, state.alpha + t * direction, low_rank)
 
-        step = bcgd._armijo(
-            state, config, "alpha-step", state.alpha, direction, lin, abs(lin),
-            config.lam2, 0.0, lambda t: float(np.abs(t * direction).sum()), 0.0,
-            state_at,
+        move = bcgd._Move(
+            (frame, links, d), state, alpha_dir=direction, lam=config.lam2, lin=lin,
+            lin_abs=abs(lin), pen_now=0.0, pen_full=float(np.abs(direction).sum()),
+            pen_err=0.0,
         )
+        move.at = state_at  # the trial point at tau, with an infinite cell at 1
+        step = bcgd._armijo(move, config)
         assert step.tau == 0.5 and tried == [1.0, 0.5]
         np.testing.assert_array_equal(step.state.alpha, 0.5 * direction)
 

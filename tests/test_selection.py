@@ -271,6 +271,20 @@ class TestCrossValidate:
             grid.lambda1[i1], grid.lambda2[i2]
         )
 
+    def test_held_cell_observed_in_training_is_rejected(self, rng):
+        """A held-out cell that the training frame still observes would score
+        the path on a cell it trained on: an input error that names the
+        cause, which ``python -O`` cannot strip as it strips an assert."""
+        frame, links = gaussian_frame(rng, 12, 5, p_obs=0.85)
+        d = groups_dict(12, 5)
+        grid = small_grid(frame, links, d, n=2)
+        train, held = selection.draw_holdout(frame, 0.25, np.random.default_rng(4))
+        leaked = np.vstack([held, np.argwhere(train.mask)[:1]])
+        y_true = frame.values[leaked[:, 0], leaked[:, 1]]
+        with pytest.raises(InvalidInputError, match="still observed in train_frame"):
+            selection.path_errors(train, links, d, grid,
+                                  SolverConfig(lam1=0.0, lam2=0.0), leaked, y_true)
+
     def test_report_serialization(self, rng, tmp_path):
         frame, links = gaussian_frame(rng, 6, 4)
         d = groups_dict(6, 4, h=2)

@@ -396,19 +396,18 @@ class TestSvt:
         boundary = 0 if eigensolver == "numpy" else min(shape) + 1
         monkeypatch.setattr(subsolvers, "_NUMPY_EIGH_MIN_N", boundary)
         calls = spy_eigensolvers(monkeypatch)
-        out, shrink_sum, rank, shrink_sq = subsolvers._svt_with_diagnostics(a, lam)
+        out, shrink_sum, shrink_sq = subsolvers._svt_with_diagnostics(a, lam)
         assert calls == [eigensolver]
         scale = svals[0]
         assert np.abs(out - expected).max() <= 1e-12 * scale
         assert abs(shrink_sum - shrunk.sum()) <= 1e-12 * max(scale, shrunk.sum())
         assert abs(np.sqrt(shrink_sq) - np.linalg.norm(shrunk)) <= 1e-12 * scale
-        assert rank == int(np.sum(shrunk > 0))
         assert bool(lapack_calls) == fallback
         buffer = np.empty(shape)
         again = subsolvers._svt_with_diagnostics(a, lam, out=buffer)
         assert again[0] is buffer
         np.testing.assert_array_equal(buffer, out)
-        assert again[1:] == (shrink_sum, rank, shrink_sq)
+        assert again[1:] == (shrink_sum, shrink_sq)
         np.testing.assert_array_equal(soft_threshold_singular_values(a, lam), out)
 
     @pytest.mark.parametrize(
